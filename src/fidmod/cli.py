@@ -88,12 +88,22 @@ def _emit_json(payload: dict) -> None:
 
 def _read_stdin_series() -> dict[int, int]:
     payload = json.load(sys.stdin)
-    series = payload["series"]
+    series = payload.get("series") if isinstance(payload, dict) else None
+    if not isinstance(series, dict) or not all(isinstance(v, (int, str)) for v in series.values()):
+        raise ValueError('stdin must hold {"series": {"<n>": "<integer>", ...}}')
     return {int(n): int(v) for n, v in series.items()}
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type (and environment check) for counts that must be >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _default_horizon() -> int:
-    return int(os.environ.get("FID_MAX_HORIZON", DEFAULT_STABILIZATION_HORIZON))
+    return non_negative_int(os.environ.get("FID_MAX_HORIZON", DEFAULT_STABILIZATION_HORIZON))
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
@@ -156,24 +166,18 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     d = args.d
     spec = None if args.stdin else _parse_generator(args.gen, d)
+    series = _read_stdin_series() if args.stdin else None
+    window = list(_parse_range(args.window)) if args.window is not None else None
     if args.mode == "dims":
         degree_bound = args.degree_bound
         if degree_bound is None:
             if spec is None:
                 raise ValueError("--degree-bound is required with --stdin")
             degree_bound = spec.m
-        if args.stdin:
-            series = _read_stdin_series()
-            window = (
-                list(_parse_range(args.window)) if args.window is not None else sorted(series)
-            )
-        else:
-            window = (
-                list(_parse_range(args.window))
-                if args.window is not None
-                else default_dims_window(spec, degree_bound)
-            )
+        if series is None:
+            window = window or default_dims_window(spec, degree_bound)
             series = {n: dim_at(spec, n) for n in window}
+        window = window or sorted(series)
         fit = fit_exponential_polynomial(series, d, degree_bound, window)
         if args.format == "tsv":
             for i, p in enumerate(fit.polynomials, start=1):
@@ -191,19 +195,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         lam = _parse_partition(args.lam)
         degree_bound = args.degree_bound if args.degree_bound is not None else d - 1
-        if args.stdin:
-            values = _read_stdin_series()
-            window = (
-                list(_parse_range(args.window)) if args.window is not None else sorted(values)
-            )
-            series = values
-        else:
-            window = (
-                list(_parse_range(args.window))
-                if args.window is not None
-                else default_multiplicity_window(spec, lam, degree_bound)
-            )
+        if series is None:
+            window = window or default_multiplicity_window(spec, lam, degree_bound)
             series = multiplicity_series(spec, lam, window)
+        window = window or sorted(series)
         fit = fit_polynomial(series, degree_bound, window)
         if args.format == "tsv":
             sys.stdout.write(f"degree\t{fit.degree}\n")
@@ -296,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="irreducible decomposition of one level")
     add_common(p_dec)
-    p_dec.add_argument("--n", type=int, required=True, help="level to decompose")
+    p_dec.add_argument("--n", type=non_negative_int, required=True, help="level to decompose")
     p_dec.set_defaults(func=cmd_decompose, default_format="json")
 
     p_stab = sub.add_parser("stabilize", help="stable padded multiplicity and onset")
@@ -305,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--pads", required=True, help="comma-separated base pads, e.g. 2,2")
     p_stab.add_argument(
         "--horizon",
-        type=int,
+        type=non_negative_int,
         default=None,
         help=f"search horizon (default: FID_MAX_HORIZON or {DEFAULT_STABILIZATION_HORIZON})",
     )
@@ -315,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_fit, gen_required=False)
     p_fit.add_argument("--mode", choices=("dims", "mult"), required=True)
     p_fit.add_argument("--lambda", dest="lam", default="[]", help="core partition for mult mode")
-    p_fit.add_argument("--degree-bound", type=int, default=None)
+    p_fit.add_argument("--degree-bound", type=non_negative_int, default=None)
     p_fit.add_argument("--window", default=None, help="inclusive fit window, e.g. 4..12")
     p_fit.add_argument(
         "--stdin",
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle-check", help="sweep chain counts against the character oracle"
     )
-    p_oracle.add_argument("--max", type=int, default=6, help="size bound (<= 8)")
+    p_oracle.add_argument("--max", type=non_negative_int, default=6, help="size bound (<= 8)")
     p_oracle.add_argument("--format", choices=("json", "tsv"), default=None)
     p_oracle.set_defaults(func=cmd_oracle_check, default_format="tsv")
 

@@ -136,8 +136,9 @@ def constituent_multiplicity(spec: FreeModuleSpec, target: Partition) -> int:
     """Multiplicity of the irreducible `target` in level sum(target).
 
     Same value as decompose_at(spec, sum(target)).multiplicity(target) but
-    computed by a targeted chain count: summing strip chains over all ordered
-    compositions at once instead of decomposing the whole level.
+    without decomposing the whole level: each generator constituent mu adds
+    its weight times a Jacobi-Trudi determinant (bounded_chain_count), which
+    sums the strip chains over all compositions at once.
     """
     target = tuple(target)
     if sum(target) < spec.m:

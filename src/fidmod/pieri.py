@@ -3,12 +3,14 @@
 The multiplicity of lam in the product over a composition a equals the
 number of chains mu = mu(0) <= ... <= mu(h) = lam where step i adds a
 horizontal strip of a_i boxes (at most one box per column).  Chains are
-enumerated directly; a closed column-strict-filling count is provided as a
-cross-check.
+enumerated directly for full products; targeted multiplicities summed over
+all compositions come from a Jacobi-Trudi determinant.  Chain counts and a
+column-strict-filling count are kept as cross-checks.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import cache
 from typing import Mapping
@@ -178,27 +180,23 @@ def chain_multiplicity(mu: Partition, a: tuple[int, ...], lam: Partition) -> int
     return _chains_to(mu, a, lam)
 
 
-@cache
-def _strip_predecessors(lam: Partition) -> tuple[Partition, ...]:
-    """All nu with lam/nu a horizontal strip of any size (possibly empty)."""
-    results: list[Partition] = []
-    h = len(lam)
-
-    def build(row: int, acc: list[int]) -> None:
-        if row == h:
-            out = tuple(acc)
-            while out and out[-1] == 0:
-                out = out[:-1]
-            results.append(out)
-            return
-        low = lam[row + 1] if row + 1 < h else 0
-        for val in range(lam[row], low - 1, -1):
-            acc.append(val)
-            build(row + 1, acc)
-            acc.pop()
-
-    build(0, [])
-    return tuple(results)
+def _bareiss_determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free Bareiss
+    elimination, in which every division is exact; `rows` is overwritten."""
+    sign, prev = 1, 1
+    for k in range(len(rows) - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(rows)) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap], sign = rows[swap], rows[k], -sign
+        pivot, pivot_row = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [
+                (x * pivot - row[k] * y) // prev for x, y in zip(row[k + 1 :], pivot_row)
+            ]
+        prev = pivot
+    return sign * rows[-1][-1] if rows else 1
 
 
 @cache
@@ -208,19 +206,20 @@ def bounded_chain_count(mu: Partition, lam: Partition, steps: int) -> int:
 
     Equals the sum of chain_multiplicity(mu, a, lam) over all ordered
     length-`steps` compositions a of |lam| - |mu|, so it is the multiplicity
-    of lam in the free-module level of a module with `steps` colors.
+    of lam in the free-module level of a module with `steps` colors.  It is
+    s_{lam/mu}(1^steps), computed as the Jacobi-Trudi determinant
+    det[C(lam_i - mu_j - i + j + steps - 1, steps - 1)] (Macdonald I.(5.4));
+    strip chains and characters cross-check it in the tests.
     """
     if not contains(lam, mu):
         return 0
     if steps == 0:
         return 1 if lam == mu else 0
-    if lam == mu:
-        return 1
-    total = 0
-    for nu in _strip_predecessors(lam):
-        if contains(nu, mu):
-            total += bounded_chain_count(mu, nu, steps - 1)
-    return total
+    inner = mu + (0,) * (len(lam) - len(mu))
+    diffs = [[lam[i] - inner[j] - i + j for j in range(len(lam))] for i in range(len(lam))]
+    return _bareiss_determinant(
+        [[math.comb(k + steps - 1, k) if k >= 0 else 0 for k in row] for row in diffs]
+    )
 
 
 def skew_filling_count(outer: Partition, inner: Partition, content: tuple[int, ...]) -> int:
@@ -270,8 +269,8 @@ def skew_filling_count(outer: Partition, inner: Partition, content: tuple[int, .
 
 
 def clear_caches() -> None:
-    """Drop internal memo tables (mainly for test isolation)."""
-    _chain_counts.cache_clear()
-    _chains_to.cache_clear()
-    _strip_predecessors.cache_clear()
-    bounded_chain_count.cache_clear()
+    """Drop every memo table in fidmod (mainly for test isolation)."""
+    from .characters import character_value  # characters imports this module
+
+    for table in (_chain_counts, _chains_to, bounded_chain_count, character_value):
+        table.cache_clear()

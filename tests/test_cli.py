@@ -227,3 +227,41 @@ def test_bad_pads_exit_2(capsys):
         capsys, "stabilize", "--d", "2", "--gen", "M(0)", "--lambda", "[]", "--pads", "1,2"
     )
     assert code == 2
+
+
+def test_decompose_negative_level_exit_2(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--d", "2", "--gen", "M(0)", "--n", "-3")
+    assert code == 2 and out == ""
+
+
+def test_oracle_check_negative_max_exit_2(capsys):
+    code, out, _ = run_cli(capsys, "oracle-check", "--max", "-2")
+    assert code == 2 and out == ""
+
+
+def test_stabilize_negative_horizon_exit_2(capsys, monkeypatch):
+    args = ("stabilize", "--d", "2", "--gen", "M(0)", "--lambda", "[]", "--pads", "1,1")
+    code, out, _ = run_cli(capsys, *args, "--horizon", "-1")
+    assert code == 2 and out == ""
+    monkeypatch.setenv("FID_MAX_HORIZON", "-1")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+
+
+def test_fit_negative_degree_bound_exit_2(capsys):
+    code, out, _ = run_cli(
+        capsys, "fit", "--mode", "mult", "--d", "2", "--gen", "M(0)", "--degree-bound", "-1"
+    )
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"series": ["1", "2", "4"]}, ["1", "2"], {"series": {"0": None, "1": "2"}}],
+)
+def test_fit_stdin_malformed_series_exit_2(capsys, monkeypatch, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(
+        capsys, "fit", "--mode", "dims", "--d", "2", "--degree-bound", "0", "--stdin"
+    )
+    assert code == 2 and out == "" and "internal error" not in err

@@ -1,8 +1,14 @@
+import importlib
 import math
+import pkgutil
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fidmod
+from fidmod import characters
+from fidmod.free_modules import FreeModuleSpec, constituent_multiplicity
 from fidmod.partitions import (
     compositions,
     contains,
@@ -12,9 +18,11 @@ from fidmod.partitions import (
 )
 from fidmod.pieri import (
     Decomposition,
+    _bareiss_determinant,
     add_horizontal_strip,
     bounded_chain_count,
     chain_multiplicity,
+    clear_caches,
     pieri_product,
     remove_horizontal_strip,
     skew_filling_count,
@@ -136,6 +144,110 @@ def test_bounded_chain_count_sums_compositions():
                 chain_multiplicity(mu, a, lam) for a in compositions(total, length)
             )
             assert bounded_chain_count(mu, lam, length) == expected
+
+
+def _lam_mu_pairs():
+    """lam with |lam| <= 8 and some mu contained in lam."""
+    lams = [lam for n in range(9) for lam in partitions_of(n)]
+    return st.sampled_from(lams).flatmap(
+        lambda lam: st.tuples(
+            st.sampled_from(
+                [mu for k in range(sum(lam) + 1) for mu in partitions_of(k) if contains(lam, mu)]
+            ),
+            st.just(lam),
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_lam_mu_pairs(), st.integers(min_value=0, max_value=4))
+def test_bounded_chain_count_agrees_with_chains_and_characters(pair, d):
+    mu, lam = pair
+    comps = list(compositions(sum(lam) - sum(mu), d))
+    by_chains = sum(chain_multiplicity(mu, a, lam) for a in comps)
+    by_characters = sum(
+        characters.decompose(characters.induce_trivial_product(mu, a)).multiplicity(lam)
+        for a in comps
+    )
+    assert bounded_chain_count(mu, lam, d) == by_chains == by_characters
+
+
+@pytest.mark.parametrize(
+    "mu, lam, steps, expected",
+    [
+        ((2, 1), (3, 1), 0, 0),  # no steps, lam != mu
+        ((2, 1), (2, 1), 0, 1),  # no steps, lam == mu
+        ((2, 1), (2, 1), 3, 1),
+        ((), (), 2, 1),
+        ((3,), (2, 2), 2, 0),  # mu not contained in lam
+        ((1, 1), (4,), 3, 0),
+        ((), (1, 1, 1), 1, 0),  # a column of lam/mu longer than steps: zero pivot
+        ((), (1, 1, 1, 1), 2, 0),
+        ((1,), (2, 1, 1, 1), 2, 0),
+        ((), (1, 1, 1), 3, 1),
+        ((), (2, 1), 2, 2),
+    ],
+)
+def test_bounded_chain_count_fixed_cases(mu, lam, steps, expected):
+    assert bounded_chain_count(mu, lam, steps) == expected
+
+
+def _leibniz_determinant(rows):
+    size = len(rows)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(size))
+    return total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=size, max_size=size),
+            min_size=size,
+            max_size=size,
+        )
+    )
+)
+def test_bareiss_determinant_matches_leibniz(rows):
+    # Jacobi-Trudi matrices of skew shapes never need a row swap (a vanishing
+    # leading minor forces a zero determinant), so pivoting is checked here.
+    expected = _leibniz_determinant(rows)
+    assert _bareiss_determinant([list(row) for row in rows]) == expected
+
+
+def test_bareiss_determinant_row_swap():
+    assert _bareiss_determinant([[0, 1], [1, 0]]) == -1
+    assert _bareiss_determinant([[0, 2, 1], [0, 1, 3], [1, 1, 1]]) == 5
+    assert _bareiss_determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+
+def test_constituent_multiplicity_pinned_target():
+    assert constituent_multiplicity(FreeModuleSpec.regular(3, 3), (20, 10, 5, 2, 1)) == 1122
+
+
+def _memo_tables():
+    tables = {}
+    for info in pkgutil.iter_modules(fidmod.__path__):
+        module = importlib.import_module(f"fidmod.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)):
+                tables[f"{value.__module__}.{value.__qualname__}"] = value
+    return tables
+
+
+def test_clear_caches_empties_every_memo_table():
+    tables = _memo_tables()
+    assert tables
+    pieri_product((1,), (2, 1))
+    chain_multiplicity((1,), (1, 1), (2, 1))
+    bounded_chain_count((1,), (3, 1), 2)
+    characters.decompose(characters.induce_trivial_product((1,), (1, 1)))
+    assert [name for name, t in tables.items() if not t.cache_info().currsize] == []
+    clear_caches()
+    assert [name for name, t in tables.items() if t.cache_info().currsize] == []
 
 
 def test_decomposition_validation():
