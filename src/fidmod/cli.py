@@ -102,6 +102,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (the color count --d)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _default_horizon() -> int:
     return non_negative_int(os.environ.get("FID_MAX_HORIZON", DEFAULT_STABILIZATION_HORIZON))
 
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, gen_required: bool = True) -> None:
-        p.add_argument("--d", type=int, required=True, help="number of colors (>= 1)")
+        p.add_argument("--d", type=positive_int, required=True, help="number of colors (>= 1)")
         p.add_argument(
             "--gen",
             required=gen_required,

@@ -19,8 +19,10 @@ from .partitions import (
     Partition,
     UnsortedPads,
     ZERO_LABEL,
+    conjugate,
     contains,
     dim_irreducible,
+    multinomial,
     pad,
     partitions_of,
 )
@@ -105,18 +107,13 @@ def _composition_classes(total: int, length: int) -> list[tuple[tuple[int, ...],
 
     Returns (sorted representative, number of distinct rearrangements); the
     Pieri product is invariant under permuting the composition, so each class
-    is computed once.
+    is computed once.  Representatives have at most `length` parts, so they
+    are the conjugates of the partitions with parts at most `length`.
     """
     out = []
-    for rep in partitions_of(total, max_part=total):
-        if len(rep) > length:
-            continue
-        full = rep + (0,) * (length - len(rep))
-        counts = Counter(full)
-        arrangements = math.factorial(length)
-        for c in counts.values():
-            arrangements //= math.factorial(c)
-        out.append((full, arrangements))
+    for rep in map(conjugate, partitions_of(total, max_part=length)):
+        zeros = length - len(rep)
+        out.append((rep + (0,) * zeros, multinomial((zeros, *Counter(rep).values()))))
     return out
 
 

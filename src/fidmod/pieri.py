@@ -11,7 +11,6 @@ column-strict-filling count are kept as cross-checks.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cache
 from typing import Mapping
 
@@ -90,73 +89,68 @@ def add_horizontal_strip(mu: Partition, boxes: int) -> tuple[Partition, ...]:
     results: list[Partition] = []
     h = len(mu)
 
-    def build(row: int, remaining: int, acc: list[int]) -> None:
-        if row > h:
-            if remaining == 0:
-                out = tuple(acc)
-                while out and out[-1] == 0:
-                    out = out[:-1]
-                results.append(out)
-            return
-        low = mu[row] if row < h else 0
-        # One box per column: the new row cannot pass the previous old row.
-        high = mu[row - 1] if row > 0 else low + remaining
-        high = min(high, low + remaining)
-        for val in range(high, low - 1, -1):
-            acc.append(val)
-            build(row + 1, remaining - (val - low), acc)
-            acc.pop()
+    def build(row: int, remaining: int, prefix: Partition) -> None:
+        if not remaining:
+            results.append(prefix + mu[row:])
+        elif row == h:
+            results.append(prefix + (remaining,))
+        else:
+            # One box per column: row r >= 1 takes at most mu_{r-1} - mu_r
+            # boxes, so the rows below row r take at most mu_r between them.
+            high = remaining if row == 0 else min(remaining, mu[row - 1] - mu[row])
+            for extra in range(high, max(remaining - mu[row], 0) - 1, -1):
+                build(row + 1, remaining - extra, prefix + (mu[row] + extra,))
 
-    build(0, boxes, [])
-    return tuple(sorted(results, reverse=True))
+    build(0, boxes, ())
+    return tuple(results)
 
 
 def remove_horizontal_strip(lam: Partition, boxes: int) -> tuple[Partition, ...]:
-    """All partitions nu <= lam with lam/nu a horizontal strip of `boxes` boxes."""
+    """All partitions nu <= lam with lam/nu a horizontal strip of `boxes`
+    boxes, in descending lexicographic order."""
     if boxes < 0:
         raise ValueError("strip size must be non-negative")
     results: list[Partition] = []
     h = len(lam)
 
-    def build(row: int, remaining: int, acc: list[int]) -> None:
-        if remaining < 0:
-            return
-        if row == h:
-            if remaining == 0:
-                out = tuple(acc)
-                while out and out[-1] == 0:
-                    out = out[:-1]
-                results.append(out)
-            return
-        low = lam[row + 1] if row + 1 < h else 0
-        for val in range(lam[row], low - 1, -1):
-            acc.append(val)
-            build(row + 1, remaining - (lam[row] - val), acc)
-            acc.pop()
+    def build(row: int, remaining: int, prefix: Partition) -> None:
+        if not remaining:
+            results.append(prefix + lam[row:])
+        elif row < h:
+            # Row r keeps at least lam_{r+1}; the rows below it lose at most
+            # lam_{r+1} boxes between them.  Only the last row can empty.
+            below = lam[row + 1] if row + 1 < h else 0
+            for cut in range(max(remaining - below, 0), min(remaining, lam[row] - below) + 1):
+                kept = prefix + (lam[row] - cut,) if cut < lam[row] else prefix
+                build(row + 1, remaining - cut, kept)
 
-    build(0, boxes, [])
-    return tuple(sorted(results, reverse=True))
+    build(0, boxes, ())
+    return tuple(results)
 
 
 @cache
-def _chain_counts(mu: Partition, a: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
+def _chain_counts(mu: Partition, a: tuple[int, ...]) -> Mapping[Partition, int]:
+    """Unsorted chain counts from mu over positive strip sizes a (read-only)."""
     if not a:
-        return ((mu, 1),)
-    acc: Counter[Partition] = Counter()
+        # Keyed by the argument, so this table interns partitions: equal lam
+        # reached along different chains is one tuple in every entry's keys.
+        return {mu: 1}
+    acc: dict[Partition, int] = {}
     for nxt in add_horizontal_strip(mu, a[0]):
-        for lam, count in _chain_counts(nxt, a[1:]):
-            acc[lam] += count
-    return tuple(sorted(acc.items(), reverse=True))
+        for lam, count in _chain_counts(nxt, a[1:]).items():
+            acc[lam] = acc.get(lam, 0) + count
+    return acc
 
 
 def pieri_product(mu: Partition, a: tuple[int, ...]) -> Decomposition:
     """Decomposition of the induction of (S^mu) x trivial over the Young
-    subgroup indexed by a; multiplicities count strip chains."""
+    subgroup indexed by a; multiplicities count strip chains.  Zero parts of
+    a are dropped before the memo lookup: (4, 0) and (4,) share one entry."""
     a = tuple(int(x) for x in a)
     if any(x < 0 for x in a):
         raise ValueError(f"composition entries must be non-negative: {a}")
     n = sum(mu) + sum(a)
-    return Decomposition(n, dict(_chain_counts(tuple(mu), a)))
+    return Decomposition(n, _chain_counts(tuple(mu), tuple(x for x in a if x)))
 
 
 @cache

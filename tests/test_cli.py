@@ -265,3 +265,23 @@ def test_fit_stdin_malformed_series_exit_2(capsys, monkeypatch, payload):
         capsys, "fit", "--mode", "dims", "--d", "2", "--degree-bound", "0", "--stdin"
     )
     assert code == 2 and out == "" and "internal error" not in err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fit", "--mode", "dims", "--stdin", "--degree-bound", "0"),
+        ("fit", "--mode", "mult", "--stdin", "--lambda", "[1]"),
+        ("fit", "--mode", "dims", "--gen", "M(0)"),
+        ("fit", "--mode", "mult", "--gen", "M(0)", "--lambda", "[1]"),
+        ("dim", "--gen", "M(0)", "--range", "0..3"),
+        ("decompose", "--gen", "M(0)", "--n", "2"),
+        ("stabilize", "--gen", "M(0)", "--lambda", "[]", "--pads", "1,1"),
+    ],
+)
+def test_non_positive_color_count_exit_2(capsys, monkeypatch, argv, d):
+    series = {"series": {str(n): str(2**n) for n in range(8)}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(series)))
+    code, out, err = run_cli(capsys, *argv, "--d", d)
+    assert code == 2 and out == "" and "--d" in err

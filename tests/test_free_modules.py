@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from fidmod.free_modules import (
     FreeModuleSpec,
     NoStabilization,
     NotContained,
+    _composition_classes,
     constituent_multiplicity,
     d_weight,
     decompose_at,
@@ -19,6 +21,7 @@ from fidmod.free_modules import (
 from fidmod.partitions import (
     PaddedLabel,
     UnsortedPads,
+    compositions,
     contains,
     pad,
     partitions_in_box,
@@ -90,6 +93,32 @@ def test_dimension_conservation_small():
             ]:
                 for n in range(7):
                     assert decompose_at(spec, n).total_dimension() == dim_at(spec, n)
+
+
+@pytest.mark.parametrize(
+    "total, length", [(0, 1), (0, 3), (1, 1), (2, 5), (5, 1), (6, 2), (7, 3), (8, 4)]
+)
+def test_composition_classes_group_compositions(total, length):
+    classes = _composition_classes(total, length)
+    reps = [rep for rep, _ in classes]
+    assert len(set(reps)) == len(reps)
+    grouped = Counter(tuple(sorted(a, reverse=True)) for a in compositions(total, length))
+    assert dict(classes) == grouped
+    assert sum(ways for _, ways in classes) == math.comb(total + length - 1, length - 1)
+
+
+def test_full_levels_match_determinant_kernel():
+    for d in range(1, 5):
+        for m in range(4):
+            specs = [FreeModuleSpec.regular(d, m)]
+            specs += [FreeModuleSpec.of_irreducible(d, lam) for lam in partitions_of(m)]
+            for spec in specs:
+                for n in range(m, m + 9):
+                    level = decompose_at(spec, n)
+                    for lam in partitions_of(n):
+                        assert level.multiplicity(lam) == constituent_multiplicity(spec, lam), (
+                            spec.describe(), d, lam,
+                        )
 
 
 def test_d1_decompositions_are_multiplicity_free():

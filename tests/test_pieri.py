@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import fidmod
 from fidmod import characters
-from fidmod.free_modules import FreeModuleSpec, constituent_multiplicity
+from fidmod.free_modules import FreeModuleSpec, constituent_multiplicity, decompose_at
 from fidmod.partitions import (
     compositions,
     contains,
@@ -19,6 +19,7 @@ from fidmod.partitions import (
 from fidmod.pieri import (
     Decomposition,
     _bareiss_determinant,
+    _chain_counts,
     add_horizontal_strip,
     bounded_chain_count,
     chain_multiplicity,
@@ -64,6 +65,35 @@ def test_remove_is_inverse_of_add():
             for a in range(lamsize + 1):
                 for mu in remove_horizontal_strip(lam, a):
                     assert lam in add_horizontal_strip(mu, a)
+
+
+def _is_horizontal_strip(lam, mu):
+    """lam/mu is a horizontal strip: mu inside lam, at most one box per column."""
+    return contains(lam, mu) and all(
+        lam[i + 1] <= (mu[i] if i < len(mu) else 0) for i in range(len(lam) - 1)
+    )
+
+
+def test_add_horizontal_strip_matches_brute_force():
+    for musize in range(7):
+        for mu in partitions_of(musize):
+            for boxes in range(7):
+                expected = tuple(
+                    lam for lam in partitions_of(musize + boxes) if _is_horizontal_strip(lam, mu)
+                )
+                out = add_horizontal_strip(mu, boxes)
+                assert out == expected, (mu, boxes)
+                assert all(x > y for x, y in zip(out, out[1:]))
+
+
+def test_remove_horizontal_strip_matches_brute_force():
+    for lamsize in range(7):
+        for lam in partitions_of(lamsize):
+            for boxes in range(lamsize + 2):
+                expected = tuple(
+                    mu for mu in partitions_of(lamsize - boxes) if _is_horizontal_strip(lam, mu)
+                )
+                assert remove_horizontal_strip(lam, boxes) == expected, (lam, boxes)
 
 
 def test_pieri_product_examples():
@@ -248,6 +278,24 @@ def test_clear_caches_empties_every_memo_table():
     assert [name for name, t in tables.items() if not t.cache_info().currsize] == []
     clear_caches()
     assert [name for name, t in tables.items() if t.cache_info().currsize] == []
+
+
+def test_chain_counts_share_equal_partitions():
+    # Memo keys must intern partitions: equal lam in different entries is one
+    # tuple object.  Fresh tuples per entry cost measurable peak memory.
+    clear_caches()
+    spec = FreeModuleSpec.regular(3, 2)
+    level = decompose_at(spec, 16)
+    misses = _chain_counts.cache_info().misses
+    entries = [
+        _chain_counts(mu, a) for mu in partitions_of(2) for a in partitions_of(14) if len(a) <= 3
+    ]
+    assert _chain_counts.cache_info().misses == misses  # all read from the memo
+    seen = {}
+    for counts in entries:
+        for lam in counts:
+            assert seen.setdefault(lam, lam) is lam, lam
+    assert set(seen) == set(level.support())
 
 
 def test_decomposition_validation():
