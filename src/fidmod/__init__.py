@@ -1,92 +1,31 @@
 """Exact invariants of free modules over categories of d-colored injections.
 
-Irreducible decompositions, weights, padded multiplicities and Hilbert
-functions of free FI_d-modules in characteristic 0, with an independent
-character-theory oracle and exact rational series fitting.
+Irreducible decompositions, padded multiplicities and their stabilization,
+and exact Hilbert series of free FI_d-modules in characteristic 0, with an
+independent character-theory oracle.  This namespace is the supported API;
+everything else stays importable from its submodule.
 """
 
-from .partitions import (
-    BoxOutOfDiagram,
-    InvalidPartition,
-    MAX_TABLEAU_BOXES,
-    NotPaddable,
-    PaddedLabel,
-    Partition,
-    TooFewRows,
-    TooLarge,
-    UnsortedPads,
-    ZERO_LABEL,
-    ZeroLabel,
-    compositions,
-    conjugate,
-    contains,
-    count_standard_tableaux,
-    dim_irreducible,
-    hook_length,
-    multinomial,
-    new_partition,
-    pad,
-    partitions_in_box,
-    partitions_of,
-    unpad,
-)
-from .pieri import (
-    Decomposition,
-    add_horizontal_strip,
-    bounded_chain_count,
-    chain_multiplicity,
-    pieri_product,
-    remove_horizontal_strip,
-    skew_filling_count,
-)
-from .characters import (
-    ClassFunction,
-    CycleType,
-    NotACharacter,
-    centralizer_order,
-    character_value,
-    class_size,
-    decompose,
-    induce_product,
-    induce_trivial_product,
-    irreducible_character,
-    trivial_character,
-)
+from .partitions import InvalidPartition, PaddedLabel
+from .pieri import Decomposition, pieri_product
+from .characters import decompose, induce_trivial_product
 from .free_modules import (
-    DEFAULT_STABILIZATION_HORIZON,
     FreeModuleSpec,
     NoStabilization,
-    NotContained,
-    StabilizationResult,
     constituent_multiplicity,
-    d_weight,
     decompose_at,
     dim_at,
-    greedy_step,
-    hom_count,
-    is_constituent,
     padded_multiplicity,
     stabilized_padded_multiplicity,
 )
 from .stability import (
-    ExponentialPolynomial,
-    GenerationReport,
-    InjectivityReport,
     InsufficientPoints,
-    MultiplicitySeries,
     NoExactFit,
-    NotFree,
-    PlateauReport,
-    RationalPolynomial,
-    StabilityReport,
-    coinvariants_hilbert,
     default_dims_window,
     default_multiplicity_window,
     fit_exponential_polynomial,
     fit_polynomial,
     multiplicity_series,
-    padded_dimension,
-    trivial_multiplicity_series,
     verify_stability,
 )
 

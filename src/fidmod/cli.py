@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import Sequence
@@ -19,9 +18,9 @@ from .free_modules import (
     DEFAULT_STABILIZATION_HORIZON,
     FreeModuleSpec,
     NoStabilization,
-    _stability_guarantee,
     decompose_at,
     dim_at,
+    guarantee_shift,
     stabilized_padded_multiplicity,
 )
 from .characters import decompose, induce_trivial_product
@@ -69,9 +68,9 @@ def _parse_generator(text: str, d: int) -> FreeModuleSpec:
 
 
 def _parse_range(text: str) -> range:
-    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
+    match = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
     if not match:
-        raise ValueError(f"range must look like 0..6, got {text!r}")
+        raise ValueError(f"range must look like 0..6 (degrees >= 0), got {text!r}")
     lo, hi = int(match.group(1)), int(match.group(2))
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
@@ -89,13 +88,15 @@ def _emit_json(payload: dict) -> None:
 def _read_stdin_series() -> dict[int, int]:
     payload = json.load(sys.stdin)
     series = payload.get("series") if isinstance(payload, dict) else None
-    if not isinstance(series, dict) or not all(isinstance(v, (int, str)) for v in series.values()):
+    if not isinstance(series, dict) or not all(
+        isinstance(v, (int, str)) and not isinstance(v, bool) for v in series.values()
+    ):
         raise ValueError('stdin must hold {"series": {"<n>": "<integer>", ...}}')
     return {int(n): int(v) for n, v in series.items()}
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type (and environment check) for counts that must be >= 0."""
+    """argparse type for counts that must be >= 0."""
     value = int(text)
     if value < 0:
         raise ValueError(f"expected an integer >= 0, got {value}")
@@ -108,10 +109,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise ValueError(f"expected an integer >= 1, got {value}")
     return value
-
-
-def _default_horizon() -> int:
-    return non_negative_int(os.environ.get("FID_MAX_HORIZON", DEFAULT_STABILIZATION_HORIZON))
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
@@ -150,9 +147,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     spec = _parse_generator(args.gen, args.d)
     lam = _parse_partition(args.lam)
     pads = _parse_pads(args.pads)
-    horizon = args.horizon if args.horizon is not None else _default_horizon()
-    value, onset = stabilized_padded_multiplicity(spec, lam, pads, horizon=horizon)
-    guarantee = max(0, _stability_guarantee(spec) - pads[-1])
+    value, onset = stabilized_padded_multiplicity(spec, lam, pads, horizon=args.horizon)
     payload = {
         "command": "stabilize",
         "d": args.d,
@@ -161,7 +156,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
         "base_pads": list(pads),
         "value": str(value),
         "onset": onset,
-        "guarantee_shift": guarantee,
+        "guarantee_shift": guarantee_shift(spec, pads),
     }
     if args.format == "tsv":
         for key in ("value", "onset", "guarantee_shift"):
@@ -309,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument(
         "--horizon",
         type=non_negative_int,
-        default=None,
-        help=f"search horizon (default: FID_MAX_HORIZON or {DEFAULT_STABILIZATION_HORIZON})",
+        default=DEFAULT_STABILIZATION_HORIZON,
+        help=f"search horizon (default: {DEFAULT_STABILIZATION_HORIZON})",
     )
     p_stab.set_defaults(func=cmd_stabilize, default_format="json")
 

@@ -23,6 +23,7 @@ from .partitions import (
     contains,
     dim_irreducible,
     multinomial,
+    new_partition,
     pad,
     partitions_of,
 )
@@ -61,6 +62,8 @@ class FreeModuleSpec:
             )
         if not self.generator:
             raise ValueError("generator representation must be non-zero")
+        for lam in self.generator.support():
+            new_partition(lam)
 
     @classmethod
     def regular(cls, d: int, m: int) -> "FreeModuleSpec":
@@ -179,27 +182,6 @@ def is_constituent(mu: Partition, lam: Partition, steps: int) -> bool:
     return cur == lam
 
 
-def d_weight(spec: FreeModuleSpec) -> int:
-    """Largest core size over all d-row padded constituents, at any level.
-
-    For a free module this equals the generator degree m.  The value is
-    verified at one witness level: the minimal d-padding of a generator
-    constituent must occur, and its core must have size m.
-    """
-    d, m = spec.d, spec.m
-    kappa = min(spec.generator.support(), key=lambda lam: (lam[0] if lam else 0))
-    first = kappa[0] if kappa else 0
-    b = max(m + first, 1)
-    witness_level = d * b - (d - 1) * m
-    level = decompose_at(spec, witness_level)
-    for mu, _ in level.items():
-        if len(mu) >= d and sum(mu[d:]) == m:
-            return m
-    raise AssertionError(
-        f"no level-{witness_level} constituent of {spec.describe()} attains core size {m}"
-    )
-
-
 def padded_multiplicity(spec: FreeModuleSpec, label: PaddedLabel) -> int:
     """Multiplicity of the padded representation named by `label` (which must
     carry exactly d pads) in its level.  Labels denoting the zero
@@ -221,11 +203,12 @@ class StabilizationResult(NamedTuple):
     onset: int
 
 
-def _stability_guarantee(spec: FreeModuleSpec) -> int:
-    """Shift bound: multiplicities of uniformly shifted labels are constant
-    once shortest pad + shift reaches (first part of a generator
+def guarantee_shift(spec: FreeModuleSpec, base_pads: Sequence[int]) -> int:
+    """Shift bound: multiplicities of labels with pads base_pads + shift are
+    constant once shortest pad + shift reaches (first part of a generator
     constituent) + m, maximized over constituents."""
-    return spec.m + max(lam[0] if lam else 0 for lam in spec.generator.support())
+    first = max(lam[0] if lam else 0 for lam in spec.generator.support())
+    return max(0, spec.m + first - base_pads[-1])
 
 
 def stabilized_padded_multiplicity(
@@ -247,7 +230,7 @@ def stabilized_padded_multiplicity(
         raise ValueError(f"base pads must have length d = {spec.d}, got {len(pads)}")
     if any(pads[i - 1] < pads[i] for i in range(1, len(pads))):
         raise UnsortedPads(f"base pads must be weakly decreasing, got {pads}")
-    guarantee = max(0, _stability_guarantee(spec) - pads[-1])
+    guarantee = guarantee_shift(spec, pads)
     last = guarantee + PLATEAU_CONFIRM_SHIFTS
     if last > horizon:
         raise NoStabilization(

@@ -14,12 +14,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .free_modules import (
-    DEFAULT_STABILIZATION_HORIZON,
     FreeModuleSpec,
-    StabilizationResult,
-    _stability_guarantee,
     constituent_multiplicity,
     dim_at,
+    guarantee_shift,
     stabilized_padded_multiplicity,
 )
 from .partitions import (
@@ -376,41 +374,11 @@ class StabilityReport:
             and all(p.holds for p in self.plateaus)
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "module": self.spec_description,
-            "injectivity": {
-                "degrees": list(self.injectivity.degrees),
-                "structural": self.injectivity.structural,
-                "dimension_witness": self.injectivity.dimension_witness,
-                "holds": self.injectivity.holds,
-            },
-            "generation": {
-                "degrees": list(self.generation.degrees),
-                "orbits_reachable": self.generation.orbits_reachable,
-                "dimensions_accounted": self.generation.dimensions_accounted,
-                "holds": self.generation.holds,
-            },
-            "plateaus": [
-                {
-                    "core": list(p.core),
-                    "base_pads": list(p.base_pads),
-                    "value": str(p.value),
-                    "onset": p.onset,
-                    "guarantee_shift": p.guarantee_shift,
-                    "holds": p.holds,
-                }
-                for p in self.plateaus
-            ],
-            "all_hold": self.all_hold(),
-        }
-
 
 def verify_stability(
     spec: FreeModuleSpec,
     probes: Sequence[tuple[Partition, Sequence[int]]],
     degrees: Sequence[int],
-    horizon: int = DEFAULT_STABILIZATION_HORIZON,
 ) -> StabilityReport:
     """Check the three stability conditions on a free module.
 
@@ -448,11 +416,6 @@ def verify_stability(
     for lam, base_pads in probes:
         lam = tuple(lam)
         pads = tuple(int(p) for p in base_pads)
-        result: StabilizationResult = stabilized_padded_multiplicity(
-            spec, lam, pads, horizon=horizon
-        )
-        guarantee = max(0, _stability_guarantee(spec) - pads[-1])
-        plateaus.append(
-            PlateauReport(lam, pads, result.value, result.onset, guarantee)
-        )
+        value, onset = stabilized_padded_multiplicity(spec, lam, pads)
+        plateaus.append(PlateauReport(lam, pads, value, onset, guarantee_shift(spec, pads)))
     return StabilityReport(spec.describe(), injectivity, generation, tuple(plateaus))

@@ -15,7 +15,6 @@ import pytest
 from fidmod.cli import oracle_scan
 from fidmod.free_modules import (
     FreeModuleSpec,
-    d_weight,
     decompose_at,
     dim_at,
     is_constituent,
@@ -169,16 +168,21 @@ def test_c05_d_weight_bound_and_exactness():
         for size in range(5):
             for lam in partitions_of(size):
                 spec = FreeModuleSpec.of_irreducible(d, lam)
-                for n in range(size + 2 * d + 1):
+                # exactness: the minimal d-padding of the generator, at level
+                # d*b - (d-1)*m with b = max(m + lam_1, 1), has core size m
+                b = max(size + (lam[0] if lam else 0), 1)
+                witness = d * b - (d - 1) * size
+                attained = False
+                for n in sorted(set(range(size + 2 * d + 1)) | {witness}):
                     for mu, _ in decompose_at(spec, n).items():
                         if len(mu) >= d:
                             checked += 1
-                            if sum(unpad(mu, d).core) > size:
+                            core_size = sum(unpad(mu, d).core)
+                            if core_size > size:
                                 failures.append((d, lam, n, mu))
-                # exactness: the weight is attained (witnessed internally at
-                # the minimal padding level of the generator)
-                if d_weight(spec) != size:
-                    failures.append((d, lam, "weight"))
+                            attained |= n == witness and core_size == size
+                if not attained:
+                    failures.append((d, lam, "weight", witness))
     _verdict(
         "criterion 05 weight bound and exactness",
         not failures,

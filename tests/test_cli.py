@@ -117,19 +117,6 @@ def test_stabilize_horizon_exit_code(capsys):
     assert code == 3 and "horizon" in err
 
 
-def test_stabilize_env_horizon(capsys, monkeypatch):
-    monkeypatch.setenv("FID_MAX_HORIZON", "1")
-    code, _, _ = run_cli(
-        capsys, "stabilize", "--d", "1", "--gen", "[2]", "--lambda", "[]", "--pads", "0"
-    )
-    assert code == 3
-    monkeypatch.setenv("FID_MAX_HORIZON", "30")
-    code, out, _ = run_cli(
-        capsys, "stabilize", "--d", "1", "--gen", "[2]", "--lambda", "[]", "--pads", "0"
-    )
-    assert code == 0 and json.loads(out)["onset"] == 2
-
-
 def test_fit_dims(capsys):
     code, out, _ = run_cli(capsys, "fit", "--mode", "dims", "--d", "2", "--gen", "M(0)")
     assert code == 0
@@ -239,12 +226,21 @@ def test_oracle_check_negative_max_exit_2(capsys):
     assert code == 2 and out == ""
 
 
-def test_stabilize_negative_horizon_exit_2(capsys, monkeypatch):
+def test_stabilize_negative_horizon_exit_2(capsys):
     args = ("stabilize", "--d", "2", "--gen", "M(0)", "--lambda", "[]", "--pads", "1,1")
     code, out, _ = run_cli(capsys, *args, "--horizon", "-1")
     assert code == 2 and out == ""
-    monkeypatch.setenv("FID_MAX_HORIZON", "-1")
-    code, out, _ = run_cli(capsys, *args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dim", "--d", "2", "--gen", "M(0)", "--range=-3..1"),
+        ("fit", "--mode", "mult", "--d", "2", "--gen", "M(0)", "--lambda", "[1]", "--window=-3..4"),
+    ],
+)
+def test_negative_degree_range_exit_2(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 2 and out == ""
 
 
@@ -257,7 +253,12 @@ def test_fit_negative_degree_bound_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"series": ["1", "2", "4"]}, ["1", "2"], {"series": {"0": None, "1": "2"}}],
+    [
+        {"series": ["1", "2", "4"]},
+        ["1", "2"],
+        {"series": {"0": None, "1": "2"}},
+        {"series": {str(n): True for n in range(8)}},
+    ],
 )
 def test_fit_stdin_malformed_series_exit_2(capsys, monkeypatch, payload):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))

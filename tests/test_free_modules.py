@@ -9,7 +9,6 @@ from fidmod.free_modules import (
     NotContained,
     _composition_classes,
     constituent_multiplicity,
-    d_weight,
     decompose_at,
     dim_at,
     greedy_step,
@@ -19,6 +18,7 @@ from fidmod.free_modules import (
     stabilized_padded_multiplicity,
 )
 from fidmod.partitions import (
+    InvalidPartition,
     PaddedLabel,
     UnsortedPads,
     compositions,
@@ -38,6 +38,11 @@ def test_spec_validation():
         FreeModuleSpec(2, 1, FreeModuleSpec.regular(2, 2).generator)
     spec = FreeModuleSpec.of_irreducible(2, (2, 1))
     assert spec.m == 3 and spec.generator.multiplicity((2, 1)) == 1
+    # An unsorted generator such as (1, 2) would make decompose_at and
+    # constituent_multiplicity disagree at level 4 without any error.
+    for lam in [(1, 2), (2, 0), (2, -1), (0,)]:
+        with pytest.raises(InvalidPartition):
+            FreeModuleSpec.of_irreducible(2, lam)
 
 
 def test_describe():
@@ -181,15 +186,6 @@ def test_greedy_matches_positive_chain_count_small_box():
                 greedy = is_constituent(mu, lam, d)
                 chains = bounded_chain_count(lam, mu, d) > 0
                 assert greedy == chains, (mu, lam, d)
-
-
-def test_d_weight():
-    assert d_weight(FreeModuleSpec.of_irreducible(1, (2,))) == 2
-    assert d_weight(FreeModuleSpec.of_irreducible(2, (2,))) == 2
-    assert d_weight(FreeModuleSpec.of_irreducible(3, (2,))) == 2
-    assert d_weight(FreeModuleSpec.regular(2, 0)) == 0
-    assert d_weight(FreeModuleSpec.regular(2, 2)) == 2
-    assert d_weight(FreeModuleSpec.regular(3, 3)) == 3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

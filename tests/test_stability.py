@@ -193,11 +193,13 @@ def test_verify_stability_reports():
     m0 = FreeModuleSpec.regular(2, 0)
     report = verify_stability(m0, [((), (1, 1))], range(0, 6))
     assert report.all_hold()
-    payload = report.to_json_dict()
-    assert payload["all_hold"] is True
-    assert payload["injectivity"]["holds"] is True
-    assert payload["generation"]["holds"] is True
-    assert payload["plateaus"][0]["value"] == "1"
+    assert report.spec_description == "M(0)"
+    assert report.injectivity.holds and report.injectivity.degrees == tuple(range(6))
+    assert report.generation.holds and report.generation.degrees == tuple(range(6))
+    (plateau,) = report.plateaus
+    assert (plateau.core, plateau.base_pads) == ((), (1, 1))
+    assert (plateau.value, plateau.onset, plateau.guarantee_shift) == (1, 0, 0)
+    assert plateau.holds
 
     ms1 = FreeModuleSpec.of_irreducible(2, (1,))
     report = verify_stability(ms1, [((), (2, 2))], range(1, 7))
