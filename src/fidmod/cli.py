@@ -92,7 +92,10 @@ def _read_stdin_series() -> dict[int, int]:
         isinstance(v, (int, str)) and not isinstance(v, bool) for v in series.values()
     ):
         raise ValueError('stdin must hold {"series": {"<n>": "<integer>", ...}}')
-    return {int(n): int(v) for n, v in series.items()}
+    values = {int(n): int(v) for n, v in series.items()}
+    if any(n < 0 for n in values):
+        raise ValueError(f"series degrees must be >= 0, got {min(values)}")
+    return values
 
 
 def non_negative_int(text: str) -> int:

@@ -174,9 +174,16 @@ def chain_multiplicity(mu: Partition, a: tuple[int, ...], lam: Partition) -> int
     return _chains_to(mu, a, lam)
 
 
-def _bareiss_determinant(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free Bareiss
-    elimination, in which every division is exact; `rows` is overwritten."""
+def bareiss_eliminate(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) forward elimination, in place, of an integer
+    matrix with at least as many columns as rows; every division is exact.
+
+    Afterwards rows[k][c] for c >= k is the minor of the row-permuted matrix
+    on rows 0..k and columns 0..k-1 plus c, so rows[k][k] is its leading
+    minor of order k + 1; entries left of the diagonal are stale.  Returns
+    the sign of the row permutation, or 0 when a column has no non-zero
+    pivot, which leaves `rows` half eliminated.
+    """
     sign, prev = 1, 1
     for k in range(len(rows) - 1):
         if rows[k][k] == 0:
@@ -190,7 +197,12 @@ def _bareiss_determinant(rows: list[list[int]]) -> int:
                 (x * pivot - row[k] * y) // prev for x, y in zip(row[k + 1 :], pivot_row)
             ]
         prev = pivot
-    return sign * rows[-1][-1] if rows else 1
+    return sign
+
+
+def _bareiss_determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix; `rows` is overwritten."""
+    return bareiss_eliminate(rows) * rows[-1][-1] if rows else 1
 
 
 @cache

@@ -1,9 +1,11 @@
 """Hilbert-function fitting and stability verification for free modules.
 
 Everything here is exact: fits are rational interpolation plus exact
-validation on held-out degrees, never least squares.  Polynomials are fit
-through binomial-coefficient coordinates (integer for integer-valued
-series) and stored with monomial rational coefficients.
+validation on held-out degrees, never least squares.  Both fits, of
+polynomials and of exponential polynomials sum_i p_i(n) i^n, go through one
+engine that solves the integer collocation system in the monomial basis
+n^k i^n by fraction-free elimination, so the solution is the monomial
+coefficients themselves, and validates every window degree in integers.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .partitions import (
     multinomial,
     pad,
 )
+from .pieri import bareiss_eliminate
 
 
 class NoExactFit(ValueError):
@@ -47,28 +50,6 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _poly_scale(a: Sequence[Fraction], s: Fraction) -> list[Fraction]:
-    return [c * s for c in a]
-
-
-def _poly_mul_linear(a: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """Multiply by (x - root)."""
-    out = [Fraction(0)] * (len(a) + 1)
-    for i, c in enumerate(a):
-        out[i + 1] += c
-        out[i] -= c * root
-    return out
 
 
 @dataclass(frozen=True)
@@ -149,37 +130,57 @@ class MultiplicitySeries:
                 raise ValueError(f"negative multiplicity {v} at degree {n}")
 
 
-def _binomial_poly(k: int) -> list[Fraction]:
-    """C(n, k) expanded in monomials of n."""
-    coeffs: list[Fraction] = [Fraction(1)]
-    for t in range(k):
-        coeffs = _poly_mul_linear(coeffs, Fraction(t))
-    return _poly_scale(coeffs, Fraction(1, math.factorial(k)))
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; the systems built here are
-    collocation matrices of Chebyshev systems and are always nonsingular."""
-    size = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular interpolation system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
 def _series_values(series) -> Mapping[int, int]:
     if isinstance(series, MultiplicitySeries):
         return series.values
     return dict(series)
+
+
+def _fit_exact(
+    values: Mapping[int, int], bases: int, block: int, window: Sequence[int]
+) -> list[RationalPolynomial]:
+    """Fit n -> sum_{i <= bases} p_i(n) i^n with deg p_i < block on the
+    leading bases * block window degrees; validate on every window degree.
+
+    The collocation matrix [n^k i^n] is integer, so the system is solved by
+    fraction-free (Bareiss) elimination and integer back-substitution over
+    det; reduced to their least common denominator den, the solution is the
+    monomial coefficients times den.  On distinct real nodes the system is
+    nonsingular and no row swap occurs: each initial segment of the basis
+    is a Chebyshev system (a non-zero sum_i p_i(x) e^(x log i) has fewer
+    real zeros than coefficients), so every leading minor is non-zero.
+    Negative degrees are rejected because i^n would not be an integer.
+    """
+    window = sorted(window)
+    if (window and window[0] < 0) or len(set(window)) != len(window):
+        raise ValueError(f"window degrees must be distinct and >= 0, got {window}")
+    for n in window:
+        if n not in values:
+            raise ValueError(f"window degree {n} missing from series")
+
+    def row(n: int) -> list[int]:
+        return [n**k * i**n for i in range(1, bases + 1) for k in range(block)]
+
+    size = bases * block
+    system = [row(n) + [values[n]] for n in window[:size]]
+    bareiss_eliminate(system)
+    det = system[-1][size - 1] if system else 1
+    nums = [0] * size
+    for p in reversed(range(size)):
+        rest = sum(system[p][c] * nums[c] for c in range(p + 1, size))
+        nums[p] = (det * system[p][size] - rest) // system[p][p]
+    common = math.gcd(det, *nums)
+    den, nums = det // common, [y // common for y in nums]
+    for n in window:
+        got = sum(y * t for y, t in zip(nums, row(n)))
+        if got != den * values[n]:
+            raise NoExactFit(
+                f"fit gives {Fraction(got, den)} at degree {n}, series has {values[n]}"
+            )
+    coeffs = [Fraction(y, den) for y in nums]
+    return [
+        RationalPolynomial(_trim(coeffs[i * block : (i + 1) * block])) for i in range(bases)
+    ]
 
 
 def fit_exponential_polynomial(
@@ -190,39 +191,14 @@ def fit_exponential_polynomial(
 ) -> ExponentialPolynomial:
     """Fit n -> sum p_i(n) i^n exactly on the leading window points and
     validate exactly on every remaining one."""
-    values = _series_values(series)
-    window = sorted(window)
-    block = degree_bound + 1
-    lead_count = d * block
+    lead_count = d * (degree_bound + 1)
     if len(window) < lead_count + 3:
         raise InsufficientPoints(
             f"need {lead_count} fit points plus 3 validation points, got {len(window)}"
         )
-    for n in window:
-        if n not in values:
-            raise ValueError(f"window degree {n} missing from series")
-    lead = window[:lead_count]
-    rows = []
-    for n in lead:
-        row = []
-        for i in range(1, d + 1):
-            power = i**n
-            for k in range(block):
-                row.append(Fraction(math.comb(n, k) * power))
-        rows.append(row)
-    solution = _solve_exact(rows, [Fraction(values[n]) for n in lead])
-    polys = []
-    for i in range(d):
-        coeffs: list[Fraction] = []
-        for k in range(block):
-            coeffs = _poly_add(coeffs, _poly_scale(_binomial_poly(k), solution[i * block + k]))
-        polys.append(RationalPolynomial(_trim(coeffs)))
-    result = ExponentialPolynomial(tuple(polys))
-    for n in window:
-        got = result.evaluate(n)
-        if got != values[n]:
-            raise NoExactFit(f"fit gives {got} at degree {n}, series has {values[n]}")
-    return result
+    return ExponentialPolynomial(
+        tuple(_fit_exact(_series_values(series), d, degree_bound + 1, window))
+    )
 
 
 def fit_polynomial(
@@ -230,33 +206,13 @@ def fit_polynomial(
     degree_bound: int,
     window: Sequence[int],
 ) -> RationalPolynomial:
-    """Interpolate the leading degree_bound + 1 window points by divided
-    differences and validate exactly on every remaining point."""
-    values = _series_values(series)
+    """Interpolate the leading degree_bound + 1 window points and validate
+    exactly on every remaining point."""
     if len(window) < degree_bound + 5:
         raise InsufficientPoints(
             f"need degree_bound + 5 = {degree_bound + 5} points, got {len(window)}"
         )
-    window = sorted(window)
-    for n in window:
-        if n not in values:
-            raise ValueError(f"window degree {n} missing from series")
-    nodes = window[: degree_bound + 1]
-    coef = [Fraction(values[n]) for n in nodes]
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
-    poly: list[Fraction] = []
-    basis: list[Fraction] = [Fraction(1)]
-    for j, c in enumerate(coef):
-        poly = _poly_add(poly, _poly_scale(basis, c))
-        basis = _poly_mul_linear(basis, Fraction(nodes[j]))
-    result = RationalPolynomial(_trim(poly))
-    for n in window:
-        got = result.evaluate(n)
-        if got != values[n]:
-            raise NoExactFit(f"fit gives {got} at degree {n}, series has {values[n]}")
-    return result
+    return _fit_exact(_series_values(series), 1, degree_bound + 1, window)[0]
 
 
 def coinvariants_hilbert(m: int, d: int, n: int) -> int:
@@ -321,12 +277,7 @@ class InjectivityReport:
     """Condition: the kernels of the d level maps intersect trivially."""
 
     degrees: tuple[int, ...]
-    structural: bool
     dimension_witness: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.structural and self.dimension_witness
 
 
 @dataclass(frozen=True)
@@ -334,12 +285,7 @@ class GenerationReport:
     """Condition: images of the level maps span the next level."""
 
     degrees: tuple[int, ...]
-    orbits_reachable: bool
     dimensions_accounted: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.orbits_reachable and self.dimensions_accounted
 
 
 @dataclass(frozen=True)
@@ -352,15 +298,11 @@ class PlateauReport:
     onset: int
     guarantee_shift: int
 
-    @property
-    def holds(self) -> bool:
-        return self.onset <= self.guarantee_shift
-
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Verdicts for the three stability conditions on a free module, over
-    explicitly listed degrees and probes only."""
+    """Verdicts for injectivity and generation on a free module, and its
+    measured plateaus, over explicitly listed degrees and probes only."""
 
     spec_description: str
     injectivity: InjectivityReport
@@ -368,11 +310,7 @@ class StabilityReport:
     plateaus: tuple[PlateauReport, ...]
 
     def all_hold(self) -> bool:
-        return (
-            self.injectivity.holds
-            and self.generation.holds
-            and all(p.holds for p in self.plateaus)
-        )
+        return self.injectivity.dimension_witness and self.generation.dimensions_accounted
 
 
 def verify_stability(
@@ -385,32 +323,28 @@ def verify_stability(
     Injectivity of the joint level maps holds structurally for free modules
     (composition with the d colored inclusions is injective on basis
     morphisms); a dimension inequality is recorded as a numeric witness.
-    Generation is checked combinatorially: every color-frequency orbit of
-    level n + 1 is reachable by appending the new point to an orbit of level
-    n, and the orbit dimensions account for the whole level.  Plateaus are
-    measured with stabilized_padded_multiplicity on every probe.
+    Generation is recorded as the color-frequency orbit dimensions
+    accounting for the whole level n + 1.  Plateaus are measured with
+    stabilized_padded_multiplicity on every probe; an onset never exceeds
+    its guarantee shift, because the onset search walks down from it.
     """
     if not isinstance(spec, FreeModuleSpec):
         raise NotFree(f"expected a FreeModuleSpec, got {type(spec).__name__}")
     degs = tuple(sorted(set(int(n) for n in degrees)))
 
     dim_witness = all(dim_at(spec, n) <= spec.d * dim_at(spec, n + 1) for n in degs)
-    injectivity = InjectivityReport(degs, structural=True, dimension_witness=dim_witness)
+    injectivity = InjectivityReport(degs, dim_witness)
 
     gen_degrees = tuple(n for n in degs if n >= spec.m)
-    reachable = True
     accounted = True
     gen_dim = spec.generator_dimension()
     for n in gen_degrees:
         total = 0
         for a in compositions(n + 1 - spec.m, spec.d):
-            if not any(a):
-                # Only possible at level m itself, which is below n + 1 here.
-                reachable = False
             total += gen_dim * multinomial((spec.m, *a))
         if total != dim_at(spec, n + 1):
             accounted = False
-    generation = GenerationReport(gen_degrees, reachable, accounted)
+    generation = GenerationReport(gen_degrees, accounted)
 
     plateaus = []
     for lam, base_pads in probes:

@@ -258,12 +258,14 @@ def test_fit_negative_degree_bound_exit_2(capsys):
         ["1", "2"],
         {"series": {"0": None, "1": "2"}},
         {"series": {str(n): True for n in range(8)}},
+        {"series": {str(n): "1" for n in range(-3, 5)}},
     ],
 )
-def test_fit_stdin_malformed_series_exit_2(capsys, monkeypatch, payload):
+@pytest.mark.parametrize("mode", ["dims", "mult"])
+def test_fit_stdin_malformed_series_exit_2(capsys, monkeypatch, payload, mode):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     code, out, err = run_cli(
-        capsys, "fit", "--mode", "dims", "--d", "2", "--degree-bound", "0", "--stdin"
+        capsys, "fit", "--mode", mode, "--d", "2", "--degree-bound", "0", "--stdin"
     )
     assert code == 2 and out == "" and "internal error" not in err
 

@@ -1,13 +1,17 @@
-"""The `fidmod` namespace: its supported names, and the README tour."""
+"""The `fidmod` namespace: its supported names, and the README's examples."""
 
 import inspect
+import io
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import fidmod
+from fidmod.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +58,44 @@ def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text()
     (tour,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def _key_paths(value, prefix=""):
+    """Dotted paths of every key; a list contributes its first element's."""
+    if isinstance(value, dict):
+        return {
+            path
+            for key, item in value.items()
+            for path in {prefix + key} | _key_paths(item, f"{prefix}{key}.")
+        }
+    if isinstance(value, list) and value:
+        return _key_paths(value[0], prefix)
+    return set()
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    commands = [
+        line[len("fidmod ") :]
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        for line in block.splitlines()
+        if line.startswith("fidmod ")
+    ]
+    outputs = {}
+    for command in commands:
+        assert main(shlex.split(command)) == 0, command
+        outputs[command] = capsys.readouterr().out
+
+    stdin_example = r"echo '(.*?)' \\\n\s*\| fidmod (.*?)\n"
+    payload, command = re.search(stdin_example, readme, flags=re.S).groups()
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert main(shlex.split(command)) == 0, command
+    assert json.loads(capsys.readouterr().out)["polynomials"] == [[], ["1"]]
+
+    schemas = readme.split("### JSON schemas")[1].split("## Library tour")[0]
+    samples = dict(re.findall(r"\(`([^`]+)`\):.*?```json\n(.*?)```", schemas, flags=re.S))
+    assert set(samples) == {"decompose", "stabilize", "fit --mode dims", "fit --mode mult"}
+    for label, sample in samples.items():
+        (command,) = [c for c in commands if c.startswith(label + " ")]
+        documented = json.loads(sample.replace(", ...", ""))
+        assert _key_paths(documented) == _key_paths(json.loads(outputs[command])), label

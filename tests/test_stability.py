@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fidmod.free_modules import FreeModuleSpec, decompose_at, dim_at
 from fidmod.partitions import pad, partitions_of
@@ -73,6 +74,10 @@ def test_fit_exponential_missing_window_degree():
     series = {n: 2**n for n in range(8)}
     with pytest.raises(ValueError):
         fit_exponential_polynomial(series, 2, 0, range(5, 15))
+    with pytest.raises(ValueError, match="distinct and >= 0"):
+        fit_exponential_polynomial(series, 2, 0, [0, 0, 1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="distinct and >= 0"):
+        fit_exponential_polynomial({n: 1 for n in range(-3, 5)}, 2, 0, range(-3, 5))
 
 
 def _expected_leading_polynomial(spec):
@@ -103,6 +108,57 @@ def test_dimension_fit_recovers_leading_coefficients(d, m):
             assert fit.evaluate(n) == dim_at(spec, n)
 
 
+@st.composite
+def _series_and_window(draw):
+    """Integer coefficients c[i][k] of C(n, k) i^n for i <= d and k <= b,
+    and distinct non-negative window degrees, consecutive or not."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    b = draw(st.integers(min_value=0, max_value=3))
+    coeffs = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=b + 1, max_size=b + 1),
+            min_size=d,
+            max_size=d,
+        )
+    )
+    window = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=40),
+            min_size=d * (b + 1) + 5,
+            max_size=d * (b + 1) + 8,
+            unique=True,
+        )
+    )
+    return d, b, coeffs, sorted(window)
+
+
+def _binomial_exponential(coeffs, n):
+    return sum(
+        c * math.comb(n, k) * (i + 1) ** n
+        for i, row in enumerate(coeffs)
+        for k, c in enumerate(row)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_series_and_window(), st.data())
+def test_fits_reproduce_and_predict_exactly(case, data):
+    d, b, coeffs, window = case
+    beyond = range(window[-1] + 1, window[-1] + 6)
+    dims = {n: _binomial_exponential(coeffs, n) for n in window}
+    mult = {n: _binomial_exponential(coeffs[:1], n) for n in window}
+    exp_fit = fit_exponential_polynomial(dims, d, b, window)
+    poly_fit = fit_polynomial(mult, b, window)
+    for n in [*window, *beyond]:
+        assert exp_fit.evaluate(n) == _binomial_exponential(coeffs, n)
+        assert poly_fit.evaluate(n) == _binomial_exponential(coeffs[:1], n)
+    bad = data.draw(st.sampled_from(window))
+    with pytest.raises(NoExactFit):
+        fit_exponential_polynomial({**dims, bad: dims[bad] + 1}, d, b, window)
+    with pytest.raises(NoExactFit):
+        fit_polynomial({**mult, bad: mult[bad] + 1}, b, window)
+
+
 def test_fit_polynomial_free_module_multiplicities():
     m0 = FreeModuleSpec.regular(2, 0)
     series = multiplicity_series(m0, (), range(4, 11))
@@ -124,6 +180,10 @@ def test_fit_polynomial_errors():
     series[8] = 0
     with pytest.raises(NoExactFit):
         fit_polynomial(series, 1, range(10))
+    with pytest.raises(ValueError, match="distinct and >= 0"):
+        fit_polynomial({n: n for n in range(8)}, 1, [0, 0, 1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="distinct and >= 0"):
+        fit_polynomial({n: n for n in range(-3, 5)}, 1, range(-3, 5))
 
 
 def test_multiplicity_series_is_nonnegative_and_validated():
@@ -194,12 +254,13 @@ def test_verify_stability_reports():
     report = verify_stability(m0, [((), (1, 1))], range(0, 6))
     assert report.all_hold()
     assert report.spec_description == "M(0)"
-    assert report.injectivity.holds and report.injectivity.degrees == tuple(range(6))
-    assert report.generation.holds and report.generation.degrees == tuple(range(6))
+    assert report.injectivity.dimension_witness
+    assert report.injectivity.degrees == tuple(range(6))
+    assert report.generation.dimensions_accounted
+    assert report.generation.degrees == tuple(range(6))
     (plateau,) = report.plateaus
     assert (plateau.core, plateau.base_pads) == ((), (1, 1))
     assert (plateau.value, plateau.onset, plateau.guarantee_shift) == (1, 0, 0)
-    assert plateau.holds
 
     ms1 = FreeModuleSpec.of_irreducible(2, (1,))
     report = verify_stability(ms1, [((), (2, 2))], range(1, 7))
