@@ -3,7 +3,9 @@
 Irreducible decompositions, padded multiplicities and their stabilization,
 and exact Hilbert series of free FI_d-modules in characteristic 0, with an
 independent character-theory oracle.  This namespace is the supported API;
-everything else stays importable from its submodule.
+everything else stays importable from its submodule.  The package holds
+what the library and CLI run and two statements the acceptance suite
+checks; reference implementations only tests use are in `tests/oracles.py`.
 """
 
 from .partitions import InvalidPartition, PaddedLabel

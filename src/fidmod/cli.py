@@ -2,13 +2,16 @@
 
 Subcommands wrap the library one-to-one and print machine-readable tables
 (JSON or TSV).  Output is deterministic: identical invocations produce
-byte-identical bytes.  Exit codes: 0 success, 2 usage or parse error,
-3 no stabilization / no exact fit, 4 internal invariant breach.
+byte-identical bytes, and nothing reaches stdout unless the command
+completes.  Exit codes: 0 success, 2 usage or parse error, 3 no
+stabilization / no exact fit, 4 internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import sys
@@ -43,6 +46,10 @@ EXIT_INTERNAL = 4
 
 #: Largest degree the character oracle sweep is allowed to reach.
 ORACLE_LIMIT = 8
+#: Largest series or window degree `fit` accepts: elimination on entries of
+#: ~degree * log2(d) bits is worse than quadratic (d = 3, 2-CPU host: degree
+#: 10^4 fits in under 0.1 s per process, 10^6 took 50 s).
+MAX_FIT_DEGREE = 10_000
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -78,7 +85,10 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_pads(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.strip().split(","))
+    pads = tuple(int(tok) for tok in text.strip().split(","))
+    if any(p < 0 for p in pads):
+        raise ValueError(f"pads are row lengths and must be >= 0, got {text!r}")
+    return pads
 
 
 def _emit_json(payload: dict) -> None:
@@ -86,7 +96,10 @@ def _emit_json(payload: dict) -> None:
 
 
 def _read_stdin_series() -> dict[int, int]:
-    payload = json.load(sys.stdin)
+    try:
+        payload = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("stdin JSON is nested too deeply") from None
     series = payload.get("series") if isinstance(payload, dict) else None
     if not isinstance(series, dict) or not all(
         isinstance(v, (int, str)) and not isinstance(v, bool) for v in series.values()
@@ -174,6 +187,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     spec = None if args.stdin else _parse_generator(args.gen, d)
     series = _read_stdin_series() if args.stdin else None
     window = list(_parse_range(args.window)) if args.window is not None else None
+    for degrees in (series, window):
+        if degrees and max(degrees) > MAX_FIT_DEGREE:
+            raise ValueError(f"fit degrees must be <= {MAX_FIT_DEGREE}, got {max(degrees)}")
     if args.mode == "dims":
         degree_bound = args.degree_bound
         if degree_bound is None:
@@ -185,19 +201,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
             series = {n: dim_at(spec, n) for n in window}
         window = window or sorted(series)
         fit = fit_exponential_polynomial(series, d, degree_bound, window)
-        if args.format == "tsv":
-            for i, p in enumerate(fit.polynomials, start=1):
-                sys.stdout.write(f"p{i}\t{p}\n")
-            sys.stdout.write(f"validated_range\t{min(window)}..{max(window)}\n")
-        else:
-            _emit_json(
-                {
-                    "bases": fit.bases,
-                    "polynomials": [p.coefficient_strings() for p in fit.polynomials],
-                    "validated_range": [min(window), max(window)],
-                    "exact": True,
-                }
-            )
+        rows = [(f"p{i}", p) for i, p in enumerate(fit.polynomials, start=1)]
+        payload = {
+            "bases": fit.bases,
+            "polynomials": [p.coefficient_strings() for p in fit.polynomials],
+        }
     else:
         lam = _parse_partition(args.lam)
         degree_bound = args.degree_bound if args.degree_bound is not None else d - 1
@@ -206,20 +214,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
             series = multiplicity_series(spec, lam, window)
         window = window or sorted(series)
         fit = fit_polynomial(series, degree_bound, window)
-        if args.format == "tsv":
-            sys.stdout.write(f"degree\t{fit.degree}\n")
-            sys.stdout.write(f"polynomial\t{fit}\n")
-            sys.stdout.write(f"validated_range\t{min(window)}..{max(window)}\n")
-        else:
-            _emit_json(
-                {
-                    "degree": fit.degree,
-                    "coefficients": fit.coefficient_strings(),
-                    "lambda": list(lam),
-                    "validated_range": [min(window), max(window)],
-                    "exact": True,
-                }
-            )
+        rows = [("degree", fit.degree), ("polynomial", fit)]
+        payload = {
+            "degree": fit.degree,
+            "coefficients": fit.coefficient_strings(),
+            "lambda": list(lam),
+        }
+    if args.format == "tsv":
+        for key, value in rows + [("validated_range", f"{min(window)}..{max(window)}")]:
+            sys.stdout.write(f"{key}\t{value}\n")
+    else:
+        _emit_json({**payload, "validated_range": [min(window), max(window)], "exact": True})
     return EXIT_OK
 
 
@@ -346,8 +351,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "command", None) == "fit" and not args.stdin and not args.gen:
         sys.stderr.write("error: fit needs --gen or --stdin\n")
         return EXIT_USAGE
+    # Held back until the command returns, so an error exit writes no stdout.
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except (NoStabilization, NoExactFit) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_FIT
@@ -357,6 +365,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # invariant breach: anything unexpected
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

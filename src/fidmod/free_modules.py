@@ -18,7 +18,6 @@ from .partitions import (
     PaddedLabel,
     Partition,
     UnsortedPads,
-    ZERO_LABEL,
     conjugate,
     contains,
     dim_irreducible,
@@ -88,14 +87,6 @@ class FreeModuleSpec:
             for lam, mult in self.generator.items()
         )
         return f"M({parts})"
-
-
-def hom_count(d: int, m: int, n: int) -> int:
-    """Number of morphisms [m] -> [n]: injections times colorings of the
-    complement of the image; 0 when n < m."""
-    if n < m:
-        return 0
-    return math.perm(n, m) * d ** (n - m)
 
 
 def dim_at(spec: FreeModuleSpec, n: int) -> int:
@@ -170,7 +161,11 @@ def greedy_step(mu: Partition, lam: Partition) -> Partition:
 def is_constituent(mu: Partition, lam: Partition, steps: int) -> bool:
     """True iff `steps` greedy rounds starting from mu reach exactly lam;
     equivalently, lam's free module contains S^mu at level |mu| when
-    steps equals the color count."""
+    steps equals the color count.
+
+    Nothing in the package calls it (bounded_chain_count(lam, mu, steps) > 0
+    agrees); it stays, with greedy_step, as the statement that acceptance
+    criterion 04 checks."""
     mu, lam = tuple(mu), tuple(lam)
     if not contains(mu, lam):
         return False
@@ -193,9 +188,7 @@ def padded_multiplicity(spec: FreeModuleSpec, label: PaddedLabel) -> int:
     if any(pads[i - 1] < pads[i] for i in range(1, len(pads))):
         return 0
     padded = pad(core, pads)
-    if padded is ZERO_LABEL:
-        return 0
-    return constituent_multiplicity(spec, padded)
+    return 0 if padded is None else constituent_multiplicity(spec, padded)
 
 
 class StabilizationResult(NamedTuple):

@@ -17,45 +17,12 @@ class InvalidPartition(ValueError):
     """Sequence is not weakly decreasing or has non-positive entries."""
 
 
-class BoxOutOfDiagram(ValueError):
-    """Requested box (i, j) lies outside the Young diagram."""
-
-
 class TooLarge(ValueError):
     """Partition exceeds the exhaustive-enumeration bound."""
 
 
 class UnsortedPads(ValueError):
     """Padding lengths must be weakly decreasing."""
-
-
-class TooFewRows(ValueError):
-    """Partition has fewer rows than the requested number of pads."""
-
-
-class NotPaddable(ValueError):
-    """Recovered padding would violate the length bound (should not occur)."""
-
-
-class ZeroLabel:
-    """Sentinel for padded labels that denote the zero representation."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ZERO_LABEL"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-ZERO_LABEL = ZeroLabel()
 
 
 class PaddedLabel(NamedTuple):
@@ -90,15 +57,6 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def hook_length(lam: Partition, i: int, j: int) -> int:
-    """Number of boxes in the hook at (i, j), 1-based."""
-    if i < 1 or i > len(lam) or j < 1 or j > lam[i - 1]:
-        raise BoxOutOfDiagram(f"box ({i}, {j}) not in {lam}")
-    arm = lam[i - 1] - j
-    leg = sum(1 for p in lam if p >= j) - i
-    return arm + leg + 1
-
-
 def dim_irreducible(lam: Partition) -> int:
     """Dimension of the irreducible symmetric-group representation of shape lam.
 
@@ -124,13 +82,13 @@ def count_standard_tableaux(lam: Partition) -> int:
 
     Places the entries 1..n one at a time in every position that keeps rows
     and columns increasing, so each standard filling is visited exactly once.
-    Independent of the hook length formula; serves as its oracle.
+    Independent of the hook length formula and off the production path: it
+    stays in the package as the oracle that acceptance criterion 01 checks
+    dim_irreducible against.
     """
     n = sum(lam)
     if n > MAX_TABLEAU_BOXES:
         raise TooLarge(f"|{lam}| = {n} exceeds enumeration bound {MAX_TABLEAU_BOXES}")
-    if n == 0:
-        return 1
     filled = [0] * len(lam)
 
     def place(remaining: int) -> int:
@@ -147,12 +105,12 @@ def count_standard_tableaux(lam: Partition) -> int:
     return place(n)
 
 
-def pad(lam: Partition, pads: Iterable[int]) -> Partition | ZeroLabel:
+def pad(lam: Partition, pads: Iterable[int]) -> Partition | None:
     """Prefix lam with rows of lengths n_i - |lam|.
 
-    Returns ZERO_LABEL when the shortest pad is below |lam| + lam_1 (the
-    label then denotes the zero representation).  The first part of the
-    empty partition counts as 0.
+    Returns None when the shortest pad is below |lam| + lam_1 (the label
+    then denotes the zero representation).  The first part of the empty
+    partition counts as 0.
     """
     p = tuple(int(x) for x in pads)
     for i in range(1, len(p)):
@@ -163,25 +121,11 @@ def pad(lam: Partition, pads: Iterable[int]) -> Partition | ZeroLabel:
     size = sum(lam)
     first = lam[0] if lam else 0
     if p[-1] < size + first:
-        return ZERO_LABEL
+        return None
     rows = tuple(x - size for x in p) + lam
     while rows and rows[-1] == 0:
         rows = rows[:-1]
     return rows
-
-
-def unpad(mu: Partition, r: int) -> PaddedLabel:
-    """Recover the unique (core, pads) with r pads whose padding is mu."""
-    if len(mu) < r:
-        raise TooFewRows(f"{mu} has fewer than {r} rows")
-    core = mu[r:]
-    size = sum(core)
-    pads = tuple(mu[i] + size for i in range(r))
-    first = core[0] if core else 0
-    if pads and pads[-1] < size + first:
-        # Unreachable for genuine partitions: mu_r >= mu_{r+1} always.
-        raise NotPaddable(f"recovered pads {pads} violate the length bound")
-    return PaddedLabel(core, pads)
 
 
 def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -210,19 +154,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     for first in range(cap, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:
-    """All partitions with at most `rows` rows and parts at most `cols`."""
-
-    def grow(prefix: tuple[int, ...], depth: int, cap: int) -> Iterator[Partition]:
-        yield prefix
-        if depth == rows:
-            return
-        for part in range(cap, 0, -1):
-            yield from grow(prefix + (part,), depth + 1, part)
-
-    yield from grow((), 0, cols)
 
 
 def multinomial(parts: Iterable[int]) -> int:

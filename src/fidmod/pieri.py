@@ -4,8 +4,7 @@ The multiplicity of lam in the product over a composition a equals the
 number of chains mu = mu(0) <= ... <= mu(h) = lam where step i adds a
 horizontal strip of a_i boxes (at most one box per column).  Chains are
 enumerated directly for full products; targeted multiplicities summed over
-all compositions come from a Jacobi-Trudi determinant.  Chain counts and a
-column-strict-filling count are kept as cross-checks.
+all compositions come from a Jacobi-Trudi determinant.
 """
 
 from __future__ import annotations
@@ -105,29 +104,6 @@ def add_horizontal_strip(mu: Partition, boxes: int) -> tuple[Partition, ...]:
     return tuple(results)
 
 
-def remove_horizontal_strip(lam: Partition, boxes: int) -> tuple[Partition, ...]:
-    """All partitions nu <= lam with lam/nu a horizontal strip of `boxes`
-    boxes, in descending lexicographic order."""
-    if boxes < 0:
-        raise ValueError("strip size must be non-negative")
-    results: list[Partition] = []
-    h = len(lam)
-
-    def build(row: int, remaining: int, prefix: Partition) -> None:
-        if not remaining:
-            results.append(prefix + lam[row:])
-        elif row < h:
-            # Row r keeps at least lam_{r+1}; the rows below it lose at most
-            # lam_{r+1} boxes between them.  Only the last row can empty.
-            below = lam[row + 1] if row + 1 < h else 0
-            for cut in range(max(remaining - below, 0), min(remaining, lam[row] - below) + 1):
-                kept = prefix + (lam[row] - cut,) if cut < lam[row] else prefix
-                build(row + 1, remaining - cut, kept)
-
-    build(0, boxes, ())
-    return tuple(results)
-
-
 @cache
 def _chain_counts(mu: Partition, a: tuple[int, ...]) -> Mapping[Partition, int]:
     """Unsorted chain counts from mu over positive strip sizes a (read-only)."""
@@ -151,27 +127,6 @@ def pieri_product(mu: Partition, a: tuple[int, ...]) -> Decomposition:
         raise ValueError(f"composition entries must be non-negative: {a}")
     n = sum(mu) + sum(a)
     return Decomposition(n, _chain_counts(tuple(mu), tuple(x for x in a if x)))
-
-
-@cache
-def _chains_to(mu: Partition, a: tuple[int, ...], lam: Partition) -> int:
-    if not a:
-        return 1 if lam == mu else 0
-    total = 0
-    for nu in remove_horizontal_strip(lam, a[-1]):
-        if contains(nu, mu):
-            total += _chains_to(mu, a[:-1], nu)
-    return total
-
-
-def chain_multiplicity(mu: Partition, a: tuple[int, ...], lam: Partition) -> int:
-    """Multiplicity of lam in pieri_product(mu, a); 0 on size mismatch or
-    when lam does not contain mu."""
-    mu, lam = tuple(mu), tuple(lam)
-    a = tuple(int(x) for x in a)
-    if sum(lam) != sum(mu) + sum(a) or not contains(lam, mu):
-        return 0
-    return _chains_to(mu, a, lam)
 
 
 def bareiss_eliminate(rows: list[list[int]]) -> int:
@@ -210,12 +165,13 @@ def bounded_chain_count(mu: Partition, lam: Partition, steps: int) -> int:
     """Number of chains mu = mu(0) <= ... <= mu(steps) = lam where every step
     adds a horizontal strip of arbitrary (possibly zero) size.
 
-    Equals the sum of chain_multiplicity(mu, a, lam) over all ordered
-    length-`steps` compositions a of |lam| - |mu|, so it is the multiplicity
-    of lam in the free-module level of a module with `steps` colors.  It is
-    s_{lam/mu}(1^steps), computed as the Jacobi-Trudi determinant
-    det[C(lam_i - mu_j - i + j + steps - 1, steps - 1)] (Macdonald I.(5.4));
-    strip chains and characters cross-check it in the tests.
+    Equals the multiplicity of lam in pieri_product(mu, a) summed over all
+    ordered length-`steps` compositions a of |lam| - |mu|, so it is the
+    multiplicity of lam in the free-module level of a module with `steps`
+    colors.  It is s_{lam/mu}(1^steps), computed as the Jacobi-Trudi
+    determinant det[C(lam_i - mu_j - i + j + steps - 1, steps - 1)]
+    (Macdonald I.(5.4)); strip chains and characters cross-check it in the
+    tests.
     """
     if not contains(lam, mu):
         return 0
@@ -228,55 +184,9 @@ def bounded_chain_count(mu: Partition, lam: Partition, steps: int) -> int:
     )
 
 
-def skew_filling_count(outer: Partition, inner: Partition, content: tuple[int, ...]) -> int:
-    """Count fillings of outer/inner with entries 1..h, weakly increasing
-    along rows and strictly increasing down columns, entry i used content[i-1]
-    times.  Equals chain_multiplicity(inner, content, outer); kept as an
-    independent cross-check of the chain enumeration."""
-    if not contains(outer, inner):
-        return 0
-    if sum(outer) - sum(inner) != sum(content):
-        return 0
-    cells = [
-        (r, c)
-        for r in range(len(outer))
-        for c in range((inner[r] if r < len(inner) else 0), outer[r])
-    ]
-    if not cells:
-        return 1
-    h = len(content)
-    remaining = list(content)
-    entry: dict[tuple[int, int], int] = {}
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        # Neighbours inside inner are absent from `entry` and impose nothing.
-        left = entry.get((r, c - 1))
-        above = entry.get((r - 1, c))
-        lo = 1
-        if left is not None:
-            lo = max(lo, left)
-        if above is not None:
-            lo = max(lo, above + 1)
-        total = 0
-        for val in range(lo, h + 1):
-            if remaining[val - 1] == 0:
-                continue
-            remaining[val - 1] -= 1
-            entry[(r, c)] = val
-            total += fill(idx + 1)
-            del entry[(r, c)]
-            remaining[val - 1] += 1
-        return total
-
-    return fill(0)
-
-
 def clear_caches() -> None:
     """Drop every memo table in fidmod (mainly for test isolation)."""
     from .characters import character_value  # characters imports this module
 
-    for table in (_chain_counts, _chains_to, bounded_chain_count, character_value):
+    for table in (_chain_counts, bounded_chain_count, character_value):
         table.cache_clear()

@@ -22,14 +22,7 @@ from .free_modules import (
     guarantee_shift,
     stabilized_padded_multiplicity,
 )
-from .partitions import (
-    Partition,
-    ZERO_LABEL,
-    compositions,
-    dim_irreducible,
-    multinomial,
-    pad,
-)
+from .partitions import Partition, compositions, multinomial, pad
 from .pieri import bareiss_eliminate
 
 
@@ -117,25 +110,6 @@ class ExponentialPolynomial:
         )
 
 
-@dataclass(frozen=True)
-class MultiplicitySeries:
-    """Multiplicities of one padded irreducible family, by level."""
-
-    core: Partition
-    values: Mapping[int, int]
-
-    def __post_init__(self):
-        for n, v in self.values.items():
-            if v < 0:
-                raise ValueError(f"negative multiplicity {v} at degree {n}")
-
-
-def _series_values(series) -> Mapping[int, int]:
-    if isinstance(series, MultiplicitySeries):
-        return series.values
-    return dict(series)
-
-
 def _fit_exact(
     values: Mapping[int, int], bases: int, block: int, window: Sequence[int]
 ) -> list[RationalPolynomial]:
@@ -196,13 +170,11 @@ def fit_exponential_polynomial(
         raise InsufficientPoints(
             f"need {lead_count} fit points plus 3 validation points, got {len(window)}"
         )
-    return ExponentialPolynomial(
-        tuple(_fit_exact(_series_values(series), d, degree_bound + 1, window))
-    )
+    return ExponentialPolynomial(tuple(_fit_exact(series, d, degree_bound + 1, window)))
 
 
 def fit_polynomial(
-    series: "MultiplicitySeries | Mapping[int, int]",
+    series: Mapping[int, int],
     degree_bound: int,
     window: Sequence[int],
 ) -> RationalPolynomial:
@@ -212,45 +184,20 @@ def fit_polynomial(
         raise InsufficientPoints(
             f"need degree_bound + 5 = {degree_bound + 5} points, got {len(window)}"
         )
-    return _fit_exact(_series_values(series), 1, degree_bound + 1, window)[0]
-
-
-def coinvariants_hilbert(m: int, d: int, n: int) -> int:
-    """Degree-n dimension of a rank-1 free graded module over a d-variable
-    polynomial ring, generated in degree m."""
-    if n < m:
-        return 0
-    return math.comb(n - m + d - 1, d - 1)
+    return _fit_exact(series, 1, degree_bound + 1, window)[0]
 
 
 def multiplicity_series(
     spec: FreeModuleSpec, lam: Partition, degrees: Sequence[int]
-) -> MultiplicitySeries:
-    """c_{lam, n}: multiplicity of the 1-padded family of lam at each level."""
+) -> dict[int, int]:
+    """c_{lam, n}: multiplicity of the 1-padded family of lam at each level,
+    keyed by level; lam = () gives the trivial representation's."""
     lam = tuple(lam)
     out: dict[int, int] = {}
     for n in degrees:
         padded = pad(lam, (n,))
-        out[n] = 0 if padded is ZERO_LABEL else constituent_multiplicity(spec, padded)
-    return MultiplicitySeries(lam, out)
-
-
-def trivial_multiplicity_series(
-    spec: FreeModuleSpec, degrees: Sequence[int]
-) -> MultiplicitySeries:
-    """Multiplicity of the trivial representation at each level; for a pure
-    trivial generator this matches coinvariants_hilbert pointwise."""
-    return multiplicity_series(spec, (), degrees)
-
-
-def padded_dimension(lam: Partition, pads: Sequence[int], shift: int) -> int:
-    """Dimension of the padded irreducible with every pad shifted; 0 when the
-    shifted label denotes the zero representation."""
-    shifted = tuple(int(p) + shift for p in pads)
-    padded = pad(tuple(lam), shifted)
-    if padded is ZERO_LABEL:
-        return 0
-    return dim_irreducible(padded)
+        out[n] = 0 if padded is None else constituent_multiplicity(spec, padded)
+    return out
 
 
 def default_dims_window(spec: FreeModuleSpec, degree_bound: int) -> list[int]:

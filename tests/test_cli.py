@@ -1,9 +1,16 @@
+import contextlib
 import io
 import json
+import re
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fidmod.cli import main
+from fidmod import cli
+from fidmod.cli import MAX_FIT_DEGREE, main
+from fidmod.pieri import Decomposition
 
 
 def run_cli(capsys, *argv):
@@ -288,3 +295,181 @@ def test_non_positive_color_count_exit_2(capsys, monkeypatch, argv, d):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(series)))
     code, out, err = run_cli(capsys, *argv, "--d", d)
     assert code == 2 and out == "" and "--d" in err
+
+
+def test_int_str_limit_exit_2_with_empty_stdout(capsys):
+    # 10^4300 has 4,301 digits, one past Python's int -> str limit; the
+    # header and the 4,300-digit row before it are formatted first.
+    code, out, err = run_cli(capsys, "dim", "--d", "10", "--gen", "M(0)", "--range", "4299..4300")
+    assert code == 2 and out == "" and "4300 digits" in err
+
+
+def test_oracle_check_failure_text_reaches_stdout(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pieri_product", lambda mu, a: Decomposition(sum(mu) + sum(a), {}))
+    code, out, _ = run_cli(capsys, "oracle-check", "--max", "1")
+    assert code == 4 and out.startswith("FAIL at case 1: mu=[] a=[0]")
+
+
+def _series_payload(degrees):
+    return json.dumps({"series": {str(n): "1" for n in degrees}})
+
+
+def test_fit_stdin_degree_above_bound_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_series_payload(range(10**6, 10**6 + 9))))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "fit", "--mode", "dims", "--d", "3", "--degree-bound", "1", "--stdin"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and str(MAX_FIT_DEGREE) in err
+
+
+def test_fit_stdin_degree_at_bound_fits(capsys, monkeypatch):
+    degrees = range(MAX_FIT_DEGREE - 8, MAX_FIT_DEGREE + 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_series_payload(degrees)))
+    code, out, _ = run_cli(
+        capsys, "fit", "--mode", "dims", "--d", "3", "--degree-bound", "1", "--stdin"
+    )
+    assert code == 0
+    assert json.loads(out)["polynomials"] == [["1"], [], []]
+
+
+def test_fit_window_above_bound_exit_2(capsys):
+    window = f"{MAX_FIT_DEGREE + 1}..{MAX_FIT_DEGREE + 10}"
+    code, out, _ = run_cli(
+        capsys, "fit", "--mode", "mult", "--d", "2", "--gen", "M(0)", "--window", window
+    )
+    assert code == 2 and out == ""
+
+
+def test_negative_pads_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "stabilize", "--d", "2", "--gen", "[1]", "--lambda", "[]", "--pads=-5,-9"
+    )
+    assert code == 2 and out == "" and "pads" in err
+
+
+# --- malformed arguments and payloads, generated ---------------------------
+
+
+def _run_quiet(argv, stdin=""):
+    """cli.main on argv with stdin text; returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_usage_error(argv, stdin=""):
+    code, out, err = _run_quiet(argv, stdin)
+    assert (code, out) == (2, ""), (argv, stdin, code, err)
+    assert "internal error" not in err
+
+
+#: Tokens that int() rejects.
+_GARBAGE = st.sampled_from(["", "x", "1.5", "1e3", "--1", "0x1", "1 1", "[1]", "None"])
+
+_not_a_partition = st.one_of(
+    # integers, but a part <= 0 or a part larger than the one before it
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5)
+    .filter(lambda p: min(p) <= 0 or any(a < b for a, b in zip(p, p[1:])))
+    .map(lambda p: "[" + ",".join(map(str, p)) + "]"),
+    # bracketed, with at least one token that is not an integer ("[]" alone is ())
+    st.tuples(st.lists(st.integers(1, 5).map(str), max_size=3), _GARBAGE, st.integers(0, 3))
+    .map(lambda t: "[" + ",".join(t[0][: t[2]] + [t[1]] + t[0][t[2] :]) + "]")
+    .filter(lambda text: text != "[]"),
+    # integers without both brackets
+    st.lists(st.integers(1, 5).map(str), max_size=3)
+    .map(",".join)
+    .flatmap(lambda body: st.sampled_from([body, "[" + body, body + "]", f"({body})"])),
+)
+
+_not_a_generator = st.one_of(
+    _not_a_partition,
+    st.integers(max_value=-1).map(lambda k: f"M({k})"),
+    st.sampled_from(["M()", "M(1", "M1)", "m(1)", "M(1.5)", "M(x)", "M[1]", "M(1)(2)"]),
+)
+
+_not_pads = st.one_of(
+    # weakly decreasing, length d = 2, at least one negative row length
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+    .map(sorted)
+    .filter(lambda p: p[0] < 0)
+    .map(lambda p: f"{p[1]},{p[0]}"),
+    st.lists(st.one_of(_GARBAGE, st.integers(0, 5).map(str)), min_size=1, max_size=3)
+    .filter(lambda toks: not all(re.fullmatch(r"\s*\d+\s*", t) for t in toks))
+    .map(",".join),
+)
+
+_not_a_range = st.one_of(
+    st.tuples(st.integers(0, 50), st.integers(1, 50)).map(lambda t: f"{t[0] + t[1]}..{t[0]}"),
+    st.tuples(st.integers(max_value=-1), st.integers(0, 50)).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from(["", "1", "1..", "..3", "1...3", "a..b", "1-3", "1..3..5", "1.5..3", "0.. 2x"]),
+)
+
+_series_entries = st.dictionaries(
+    st.integers(0, 12).map(str), st.integers(0, 99).map(str), max_size=10
+)
+_bad_entry = st.one_of(
+    st.tuples(
+        st.sampled_from(["x", "-1", "1.5", "", "1e2", str(MAX_FIT_DEGREE + 1)]), st.just("1")
+    ),
+    st.tuples(st.just("0"), st.sampled_from([None, 1.5, True, False, [1], {}, "x", "1.5", ""])),
+)
+
+_not_a_series_payload = st.one_of(
+    st.sampled_from(["", "{", "[1,", '{"series": {"0": 1,}}', "[" * 10**4 + "]" * 10**4]),
+    st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=3))
+    .map(json.dumps),
+    st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=3))
+    .map(lambda series: json.dumps({"series": series})),
+    st.tuples(_series_entries, _bad_entry).map(
+        lambda t: json.dumps({"series": {**t[0], t[1][0]: t[1][1]}})
+    ),
+)
+
+_GENERATED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_GENERATED
+@given(_not_a_generator)
+def test_generated_bad_generator_exit_2(text):
+    _assert_usage_error(["dim", "--d", "2", f"--gen={text}", "--range", "0..2"])
+
+
+@_GENERATED
+@given(_not_a_partition)
+def test_generated_bad_lambda_exit_2(text):
+    _assert_usage_error(
+        ["stabilize", "--d", "2", "--gen", "M(0)", f"--lambda={text}", "--pads", "1,1"]
+    )
+
+
+@_GENERATED
+@given(_not_pads)
+def test_generated_bad_pads_exit_2(text):
+    _assert_usage_error(
+        ["stabilize", "--d", "2", "--gen", "[1]", "--lambda", "[]", f"--pads={text}"]
+    )
+
+
+@_GENERATED
+@given(_not_a_range, st.booleans())
+def test_generated_bad_range_exit_2(text, as_window):
+    if as_window:
+        argv = ["fit", "--mode", "mult", "--d", "2", "--gen", "M(0)", f"--window={text}"]
+    else:
+        argv = ["dim", "--d", "2", "--gen", "M(0)", f"--range={text}"]
+    _assert_usage_error(argv)
+
+
+@_GENERATED
+@given(_not_a_series_payload, st.sampled_from(["dims", "mult"]))
+def test_generated_bad_stdin_series_exit_2(payload, mode):
+    _assert_usage_error(
+        ["fit", "--mode", mode, "--d", "2", "--degree-bound", "0", "--stdin"], payload
+    )

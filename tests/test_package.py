@@ -1,5 +1,6 @@
 """The `fidmod` namespace: its supported names, and the README's examples."""
 
+import ast
 import inspect
 import io
 import json
@@ -8,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import fidmod
@@ -32,6 +34,47 @@ def test_namespace_is_the_supported_api():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == SUPPORTED
+
+
+#: Top-level names in src/fidmod that nothing in src/ reads, kept on purpose.
+KEPT_UNUSED = {
+    "is_constituent": "the greedy constituent test: the statement acceptance criterion 04 checks",
+    "count_standard_tableaux": "criterion 01 checks the hook formula against this tableau count",
+    "clear_caches": "the one call that empties every memo table, for callers and tests",
+}
+
+
+def _names_read(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _top_level_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def test_every_package_name_is_used_or_supported():
+    # A helper that only tests call belongs in tests/oracles.py or nowhere.
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "fidmod").glob("*.py")]
+    reads = sum((_names_read(tree) for tree in trees), Counter())
+    unused = {
+        name
+        for tree in trees
+        for name, node in _top_level_definitions(tree)
+        if not name.startswith("__")
+        and name not in SUPPORTED
+        and reads[name] == _names_read(node)[name]
+    }
+    assert unused == set(KEPT_UNUSED)
 
 
 def test_bench_tracer_installs_on_bare_import():

@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fidmod.free_modules import FreeModuleSpec, decompose_at, dim_at
-from fidmod.partitions import pad, partitions_of
+from fidmod.partitions import dim_irreducible, pad, partitions_of
 from fidmod.stability import (
     ExponentialPolynomial,
     InsufficientPoints,
-    MultiplicitySeries,
     NoExactFit,
     NotFree,
     RationalPolynomial,
-    coinvariants_hilbert,
     default_dims_window,
     default_multiplicity_window,
     fit_exponential_polynomial,
     fit_polynomial,
     multiplicity_series,
-    padded_dimension,
-    trivial_multiplicity_series,
     verify_stability,
 )
 
@@ -186,16 +182,22 @@ def test_fit_polynomial_errors():
         fit_polynomial({n: n for n in range(-3, 5)}, 1, range(-3, 5))
 
 
-def test_multiplicity_series_is_nonnegative_and_validated():
-    with pytest.raises(ValueError):
-        MultiplicitySeries((), {3: -1})
+def _coinvariants_hilbert(m, d, n):
+    """Degree-n dimension of a rank-1 free graded module over a d-variable
+    polynomial ring, generated in degree m."""
+    return math.comb(n - m + d - 1, d - 1) if n >= m else 0
 
 
 def test_coinvariants_hilbert():
-    assert coinvariants_hilbert(0, 2, 5) == 6
-    assert coinvariants_hilbert(2, 3, 4) == 6
-    assert coinvariants_hilbert(4, 3, 2) == 0
-    assert coinvariants_hilbert(0, 1, 9) == 1
+    # trivial multiplicities of M(S^(m)) at known coinvariant Hilbert values
+    def trivial(m, d, n):
+        spec = FreeModuleSpec.of_irreducible(d, (m,) if m else ())
+        return multiplicity_series(spec, (), [n])[n]
+
+    assert trivial(0, 2, 5) == 6
+    assert trivial(2, 3, 4) == 6
+    assert trivial(4, 3, 2) == 0
+    assert trivial(0, 1, 9) == 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -203,19 +205,19 @@ def test_coinvariants_hilbert():
 def test_trivial_series_matches_coinvariants(d, m):
     spec = FreeModuleSpec.of_irreducible(d, (m,) if m else ())
     degrees = range(0, m + 9)
-    series = trivial_multiplicity_series(spec, degrees)
+    series = multiplicity_series(spec, (), degrees)
     for n in degrees:
-        assert series.values[n] == coinvariants_hilbert(m, d, n)
+        assert series[n] == _coinvariants_hilbert(m, d, n)
 
 
 def test_trivial_series_examples():
     m0 = FreeModuleSpec.regular(2, 0)
-    series = trivial_multiplicity_series(m0, range(8))
-    assert [series.values[n] for n in range(8)] == [n + 1 for n in range(8)]
+    series = multiplicity_series(m0, (), range(8))
+    assert series == {n: n + 1 for n in range(8)}
     ms1 = FreeModuleSpec.of_irreducible(2, (1,))
-    assert trivial_multiplicity_series(ms1, [2]).values[2] == 2
+    assert multiplicity_series(ms1, (), [2]) == {2: 2}
     column = FreeModuleSpec.of_irreducible(1, (1, 1))
-    assert all(v == 0 for v in trivial_multiplicity_series(column, range(3, 9)).values.values())
+    assert multiplicity_series(column, (), range(3, 9)) == dict.fromkeys(range(3, 9), 0)
 
 
 def test_multiplicity_series_matches_decompose():
@@ -224,22 +226,20 @@ def test_multiplicity_series_matches_decompose():
         series = multiplicity_series(spec, lam, range(0, 8))
         for n in range(0, 8):
             shape = pad(lam, (n,))
-            expected = (
-                0 if not isinstance(shape, tuple) else decompose_at(spec, n).multiplicity(shape)
-            )
-            assert series.values[n] == expected
+            expected = 0 if shape is None else decompose_at(spec, n).multiplicity(shape)
+            assert series[n] == expected
 
 
 def test_padded_dimension():
-    assert padded_dimension((), (1, 1), 2) == 5
-    assert padded_dimension((), (7,), 5) == 1
-    assert padded_dimension((1,), (2, 2), 0) == 1
-    assert padded_dimension((2,), (3, 3), 0) == 0  # zero label: 3 < 2 + 2
+    assert dim_irreducible(pad((), (3, 3))) == 5
+    assert dim_irreducible(pad((), (12,))) == 1
+    assert dim_irreducible(pad((1,), (2, 2))) == 1
+    assert pad((2,), (3, 3)) is None  # zero label: 3 < 2 + 2
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_catalan_identity(n):
-    assert (n + 1) * padded_dimension((), (n, n), 0) == math.comb(2 * n, n)
+    assert (n + 1) * dim_irreducible(pad((), (n, n))) == math.comb(2 * n, n)
 
 
 def test_default_windows():
