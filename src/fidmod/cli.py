@@ -1,17 +1,16 @@
 """Batch command-line interface.
 
 Subcommands wrap the library one-to-one and print machine-readable tables
-(JSON or TSV).  Output is deterministic: identical invocations produce
-byte-identical bytes, and nothing reaches stdout unless the command
-completes.  Exit codes: 0 success, 2 usage or parse error, 3 no
+(JSON or TSV), byte-identical on identical invocations.  Each command returns
+its exit code and its answer as text, and `main` alone writes that text, so
+nothing reaches stdout when a command raises.  Exit codes: 0 success, 2 usage
+or parse error (including a fit past MAX_FIT_DEGREE or MAX_FIT_WORK), 3 no
 stabilization / no exact fit, 4 internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import re
 import sys
@@ -30,7 +29,6 @@ from .characters import decompose, induce_trivial_product
 from .partitions import compositions, new_partition, partitions_of
 from .pieri import pieri_product
 from .stability import (
-    InsufficientPoints,
     NoExactFit,
     default_dims_window,
     default_multiplicity_window,
@@ -46,10 +44,12 @@ EXIT_INTERNAL = 4
 
 #: Largest degree the character oracle sweep is allowed to reach.
 ORACLE_LIMIT = 8
-#: Largest series or window degree `fit` accepts: elimination on entries of
-#: ~degree * log2(d) bits is worse than quadratic (d = 3, 2-CPU host: degree
-#: 10^4 fits in under 0.1 s per process, 10^6 took 50 s).
+#: Largest series or window degree `fit` accepts, and the largest elimination
+#: work it starts, estimated as size^5 * bits^2 for size unknowns on entries of
+#: up to `bits` bits (~size^3 Bareiss steps on size * bits-bit entries, quadratic
+#: division).  2-CPU host: d = 4, degree bound 2 at degree 10^4 is 1e14, 0.7 s.
 MAX_FIT_DEGREE = 10_000
+MAX_FIT_WORK = 10**14
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -60,10 +60,6 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     if not body:
         return ()
     return new_partition(int(tok) for tok in body.split(","))
-
-
-def _format_partition(lam: Sequence[int]) -> str:
-    return "[" + ",".join(str(p) for p in lam) + "]"
 
 
 def _parse_generator(text: str, d: int) -> FreeModuleSpec:
@@ -91,21 +87,26 @@ def _parse_pads(text: str) -> tuple[int, ...]:
     return pads
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+def _render(args: argparse.Namespace, payload: dict, rows: Sequence[Sequence]) -> str:
+    """`payload` as one JSON line, or `rows` as tab-separated lines."""
+    if args.format == "json":
+        return json.dumps(payload, sort_keys=True) + "\n"
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def _read_stdin_series() -> dict[int, int]:
     try:
-        payload = json.load(sys.stdin)
+        payload = json.load(sys.stdin, object_pairs_hook=tuple)  # keeps repeated keys
     except RecursionError:
         raise ValueError("stdin JSON is nested too deeply") from None
-    series = payload.get("series") if isinstance(payload, dict) else None
-    if not isinstance(series, dict) or not all(
-        isinstance(v, (int, str)) and not isinstance(v, bool) for v in series.values()
+    series = dict(payload).get("series") if isinstance(payload, tuple) else None
+    if not isinstance(series, tuple) or not all(
+        isinstance(v, (int, str)) and not isinstance(v, bool) for _, v in series
     ):
         raise ValueError('stdin must hold {"series": {"<n>": "<integer>", ...}}')
-    values = {int(n): int(v) for n, v in series.items()}
+    values = {int(n): int(v) for n, v in series}
+    if len(values) < len(series):
+        raise ValueError("series keys must name distinct degrees")
     if any(n < 0 for n in values):
         raise ValueError(f"series degrees must be >= 0, got {min(values)}")
     return values
@@ -127,39 +128,28 @@ def positive_int(text: str) -> int:
     return value
 
 
-def cmd_dim(args: argparse.Namespace) -> int:
+def cmd_dim(args: argparse.Namespace) -> tuple[int, str]:
     spec = _parse_generator(args.gen, args.d)
-    rng = _parse_range(args.range)
-    rows = [(n, dim_at(spec, n)) for n in rng]
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "dim",
-                "d": args.d,
-                "generator": args.gen,
-                "rows": [{"n": n, "dim": str(v)} for n, v in rows],
-            }
-        )
-    else:
-        sys.stdout.write("n\tdim\n")
-        for n, v in rows:
-            sys.stdout.write(f"{n}\t{v}\n")
-    return EXIT_OK
+    rows = [("n", "dim")] + [(n, str(dim_at(spec, n))) for n in _parse_range(args.range)]
+    payload = {
+        "command": "dim",
+        "d": args.d,
+        "generator": args.gen,
+        "rows": [{"n": n, "dim": v} for n, v in rows[1:]],
+    }
+    return EXIT_OK, _render(args, payload, rows)
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    spec = _parse_generator(args.gen, args.d)
-    dec = decompose_at(spec, args.n)
-    if args.format == "tsv":
-        sys.stdout.write("partition\tmultiplicity\n")
-        for lam, mult in dec.items():
-            sys.stdout.write(f"{_format_partition(lam)}\t{mult}\n")
-    else:
-        _emit_json(dec.to_json_dict())
-    return EXIT_OK
+def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
+    payload = decompose_at(_parse_generator(args.gen, args.d), args.n).to_json_dict()
+    rows = [("partition", "multiplicity")] + [
+        ("[" + ",".join(map(str, t["partition"])) + "]", t["multiplicity"])
+        for t in payload["terms"]
+    ]
+    return EXIT_OK, _render(args, payload, rows)
 
 
-def cmd_stabilize(args: argparse.Namespace) -> int:
+def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
     spec = _parse_generator(args.gen, args.d)
     lam = _parse_partition(args.lam)
     pads = _parse_pads(args.pads)
@@ -174,45 +164,49 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
         "onset": onset,
         "guarantee_shift": guarantee_shift(spec, pads),
     }
-    if args.format == "tsv":
-        for key in ("value", "onset", "guarantee_shift"):
-            sys.stdout.write(f"{key}\t{payload[key]}\n")
-    else:
-        _emit_json(payload)
-    return EXIT_OK
+    rows = [(key, payload[key]) for key in ("value", "onset", "guarantee_shift")]
+    return EXIT_OK, _render(args, payload, rows)
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    d = args.d
-    spec = None if args.stdin else _parse_generator(args.gen, d)
+def _check_fit_work(top: int, bases: int, block: int) -> None:
+    """Refuse a fit of bases * block unknowns up to degree `top` past MAX_FIT_WORK."""
+    bits = (block - 1) * top.bit_length() + top * (bases - 1).bit_length()
+    if (bases * block) ** 5 * bits**2 > MAX_FIT_WORK:
+        raise ValueError(f"fit of {bases * block} unknowns on {bits}-bit entries is too large")
+
+
+def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
+    spec = None if args.stdin else _parse_generator(args.gen, args.d)
     series = _read_stdin_series() if args.stdin else None
     window = list(_parse_range(args.window)) if args.window is not None else None
     for degrees in (series, window):
         if degrees and max(degrees) > MAX_FIT_DEGREE:
             raise ValueError(f"fit degrees must be <= {MAX_FIT_DEGREE}, got {max(degrees)}")
     if args.mode == "dims":
-        degree_bound = args.degree_bound
-        if degree_bound is None:
-            if spec is None:
-                raise ValueError("--degree-bound is required with --stdin")
-            degree_bound = spec.m
+        if args.lam is not None:
+            raise ValueError("--lambda applies to --mode mult only")
+        if args.degree_bound is None and spec is None:
+            raise ValueError("--degree-bound is required with --stdin")
+        degree_bound = spec.m if args.degree_bound is None else args.degree_bound
         if series is None:
             window = window or default_dims_window(spec, degree_bound)
             series = {n: dim_at(spec, n) for n in window}
         window = window or sorted(series)
-        fit = fit_exponential_polynomial(series, d, degree_bound, window)
+        _check_fit_work(max(window, default=0), args.d, degree_bound + 1)
+        fit = fit_exponential_polynomial(series, args.d, degree_bound, window)
         rows = [(f"p{i}", p) for i, p in enumerate(fit.polynomials, start=1)]
         payload = {
             "bases": fit.bases,
             "polynomials": [p.coefficient_strings() for p in fit.polynomials],
         }
     else:
-        lam = _parse_partition(args.lam)
-        degree_bound = args.degree_bound if args.degree_bound is not None else d - 1
+        lam = () if args.lam is None else _parse_partition(args.lam)
+        degree_bound = args.degree_bound if args.degree_bound is not None else args.d - 1
         if series is None:
             window = window or default_multiplicity_window(spec, lam, degree_bound)
             series = multiplicity_series(spec, lam, window)
         window = window or sorted(series)
+        _check_fit_work(max(window, default=0), 1, degree_bound + 1)
         fit = fit_polynomial(series, degree_bound, window)
         rows = [("degree", fit.degree), ("polynomial", fit)]
         payload = {
@@ -220,12 +214,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "coefficients": fit.coefficient_strings(),
             "lambda": list(lam),
         }
-    if args.format == "tsv":
-        for key, value in rows + [("validated_range", f"{min(window)}..{max(window)}")]:
-            sys.stdout.write(f"{key}\t{value}\n")
-    else:
-        _emit_json({**payload, "validated_range": [min(window), max(window)], "exact": True})
-    return EXIT_OK
+    rows.append(("validated_range", f"{min(window)}..{max(window)}"))
+    payload.update({"validated_range": [min(window), max(window)], "exact": True})
+    return EXIT_OK, _render(args, payload, rows)
 
 
 def oracle_scan(max_total: int, max_length: int = 3):
@@ -252,30 +243,26 @@ def oracle_scan(max_total: int, max_length: int = 3):
     return cases, None
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
+def cmd_oracle_check(args: argparse.Namespace) -> tuple[int, str]:
     if args.max > ORACLE_LIMIT:
         raise ValueError(f"--max {args.max} exceeds the oracle limit {ORACLE_LIMIT}")
     cases, witness = oracle_scan(args.max)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "oracle-check",
-                "max": args.max,
-                "cases": cases,
-                "pass": witness is None,
-                "counterexample": witness,
-            }
-        )
-    else:
-        if witness is None:
-            sys.stdout.write(f"PASS: {cases} products agree with the character oracle\n")
-        else:
-            sys.stdout.write(
-                f"FAIL at case {cases}: mu={witness['mu']} a={witness['a']}\n"
-                f"  chains:    {json.dumps(witness['chain_counts'], sort_keys=True)}\n"
-                f"  character: {json.dumps(witness['character_oracle'], sort_keys=True)}\n"
-            )
-    return EXIT_OK if witness is None else EXIT_INTERNAL
+    payload = {
+        "command": "oracle-check",
+        "max": args.max,
+        "cases": cases,
+        "pass": witness is None,
+        "counterexample": witness,
+    }
+    lines = [f"PASS: {cases} products agree with the character oracle"]
+    if witness is not None:
+        lines = [
+            f"FAIL at case {cases}: mu={witness['mu']} a={witness['a']}",
+            f"  chains:    {json.dumps(witness['chain_counts'], sort_keys=True)}",
+            f"  character: {json.dumps(witness['character_oracle'], sort_keys=True)}",
+        ]
+    code = EXIT_OK if witness is None else EXIT_INTERNAL
+    return code, _render(args, payload, [(line,) for line in lines])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,27 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, gen_required: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, fmt: str, source=None) -> None:
+        """--d, --gen (required, or a choice of the exclusive group `source`), --format."""
         p.add_argument("--d", type=positive_int, required=True, help="number of colors (>= 1)")
-        p.add_argument(
+        (source or p).add_argument(
             "--gen",
-            required=gen_required,
+            required=source is None,
             help='generator: "M(k)" for the regular generator or a partition literal "[a,b,...]"',
         )
-        p.add_argument("--format", choices=("json", "tsv"), default=None)
+        p.add_argument("--format", choices=("json", "tsv"), default=fmt)
 
     p_dim = sub.add_parser("dim", help="level dimensions over a degree range")
-    add_common(p_dim)
+    add_common(p_dim, "tsv")
     p_dim.add_argument("--range", required=True, help="inclusive degree range, e.g. 0..6")
-    p_dim.set_defaults(func=cmd_dim, default_format="tsv")
+    p_dim.set_defaults(func=cmd_dim)
 
     p_dec = sub.add_parser("decompose", help="irreducible decomposition of one level")
-    add_common(p_dec)
+    add_common(p_dec, "json")
     p_dec.add_argument("--n", type=non_negative_int, required=True, help="level to decompose")
-    p_dec.set_defaults(func=cmd_decompose, default_format="json")
+    p_dec.set_defaults(func=cmd_decompose)
 
     p_stab = sub.add_parser("stabilize", help="stable padded multiplicity and onset")
-    add_common(p_stab)
+    add_common(p_stab, "json")
     p_stab.add_argument("--lambda", dest="lam", required=True, help='core partition, e.g. "[]"')
     p_stab.add_argument("--pads", required=True, help="comma-separated base pads, e.g. 2,2")
     p_stab.add_argument(
@@ -315,57 +303,49 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_STABILIZATION_HORIZON,
         help=f"search horizon (default: {DEFAULT_STABILIZATION_HORIZON})",
     )
-    p_stab.set_defaults(func=cmd_stabilize, default_format="json")
+    p_stab.set_defaults(func=cmd_stabilize)
 
     p_fit = sub.add_parser("fit", help="exact series fitting")
-    add_common(p_fit, gen_required=False)
+    source = p_fit.add_mutually_exclusive_group(required=True)
+    add_common(p_fit, "json", source)
     p_fit.add_argument("--mode", choices=("dims", "mult"), required=True)
-    p_fit.add_argument("--lambda", dest="lam", default="[]", help="core partition for mult mode")
+    p_fit.add_argument("--lambda", dest="lam", help="core partition for mult mode (default [])")
     p_fit.add_argument("--degree-bound", type=non_negative_int, default=None)
     p_fit.add_argument("--window", default=None, help="inclusive fit window, e.g. 4..12")
-    p_fit.add_argument(
+    source.add_argument(
         "--stdin",
         action="store_true",
         help='read the series from stdin as {"series": {"0": "1", ...}}',
     )
-    p_fit.set_defaults(func=cmd_fit, default_format="json")
+    p_fit.set_defaults(func=cmd_fit)
 
     p_oracle = sub.add_parser(
         "oracle-check", help="sweep chain counts against the character oracle"
     )
     p_oracle.add_argument("--max", type=non_negative_int, default=6, help="size bound (<= 8)")
-    p_oracle.add_argument("--format", choices=("json", "tsv"), default=None)
-    p_oracle.set_defaults(func=cmd_oracle_check, default_format="tsv")
+    p_oracle.add_argument("--format", choices=("json", "tsv"), default="tsv")
+    p_oracle.set_defaults(func=cmd_oracle_check)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "format", None) is None:
-        args.format = args.default_format
-    if getattr(args, "command", None) == "fit" and not args.stdin and not args.gen:
-        sys.stderr.write("error: fit needs --gen or --stdin\n")
-        return EXIT_USAGE
-    # Held back until the command returns, so an error exit writes no stdout.
-    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(out):
-            code = args.func(args)
+        code, text = args.func(args)
     except (NoStabilization, NoExactFit) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_FIT
-    except (ValueError, InsufficientPoints, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:  # InsufficientPoints and JSONDecodeError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # invariant breach: anything unexpected
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-    sys.stdout.write(out.getvalue())
+    sys.stdout.write(text)
     return code
 
 

@@ -185,6 +185,24 @@ def test_fit_requires_gen_or_stdin(capsys):
     assert code == 2
 
 
+def test_fit_gen_and_stdin_are_exclusive(capsys, monkeypatch):
+    series = {str(n): str(2**n) for n in range(8)}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"series": series})))
+    code, out, err = run_cli(
+        capsys, "fit", "--mode", "dims", "--d", "2", "--gen", "M(0)", "--degree-bound", "0",
+        "--stdin",
+    )
+    assert code == 2 and out == "" and "not allowed with" in err
+
+
+@pytest.mark.parametrize("lam", ["[garbage", "[1]", "[]"])
+def test_fit_dims_refuses_lambda(capsys, lam):
+    code, out, err = run_cli(
+        capsys, "fit", "--mode", "dims", "--d", "2", "--gen", "M(0)", "--lambda", lam
+    )
+    assert code == 2 and out == "" and "--lambda" in err
+
+
 def test_oracle_check_pass(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--max", "3")
     assert code == 0 and out.startswith("PASS")
@@ -266,11 +284,19 @@ def test_fit_negative_degree_bound_exit_2(capsys):
         {"series": {"0": None, "1": "2"}},
         {"series": {str(n): True for n in range(8)}},
         {"series": {str(n): "1" for n in range(-3, 5)}},
+        # two keys that name one degree: the later value would silently win
+        {"series": {**{str(n): str(2**n) for n in range(8)}, "01": "3"}},
+        {"series": {**{str(n): str(2**n) for n in range(12)}, "1_0": "5"}},
+        pytest.param(
+            '{"series": {"1": "9", ' + ", ".join(f'"{n}": "{2**n}"' for n in range(8)) + "}}",
+            id="payload7",
+        ),
     ],
 )
 @pytest.mark.parametrize("mode", ["dims", "mult"])
 def test_fit_stdin_malformed_series_exit_2(capsys, monkeypatch, payload, mode):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run_cli(
         capsys, "fit", "--mode", mode, "--d", "2", "--degree-bound", "0", "--stdin"
     )
@@ -332,6 +358,28 @@ def test_fit_stdin_degree_at_bound_fits(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["polynomials"] == [["1"], [], []]
+
+
+def test_fit_work_above_bound_exit_2_before_elimination(capsys, monkeypatch):
+    # d = 8, degree bound 3: 32 unknowns on ~30,000-bit entries, over two
+    # minutes of elimination if it were started.
+    degrees = range(MAX_FIT_DEGREE - 40, MAX_FIT_DEGREE + 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_series_payload(degrees)))
+    monkeypatch.setattr(cli, "fit_exponential_polynomial", None)  # never reached
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "fit", "--mode", "dims", "--d", "8", "--degree-bound", "3", "--stdin"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "too large" in err
+
+
+def test_fit_work_bound_sits_between_the_measured_cases():
+    # At degree 10^4, d = 4 with degree bound 2 fits in under a second; d = 8
+    # with degree bound 3 ran over two minutes.
+    cli._check_fit_work(MAX_FIT_DEGREE, 4, 3)
+    with pytest.raises(ValueError, match="too large"):
+        cli._check_fit_work(MAX_FIT_DEGREE, 8, 4)
 
 
 def test_fit_window_above_bound_exit_2(capsys):

@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import fidmod
-from fidmod.cli import main
+from fidmod.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,7 +116,9 @@ def _key_paths(value, prefix=""):
     return set()
 
 
-def test_readme_cli_block_runs(capsys, monkeypatch):
+def _readme_cli_commands() -> tuple[list[str], tuple[str, str]]:
+    """The `fidmod` lines of the README's sh blocks, and the stdin example as
+    (payload, command)."""
     readme = (ROOT / "README.md").read_text()
     commands = [
         line[len("fidmod ") :]
@@ -124,15 +126,20 @@ def test_readme_cli_block_runs(capsys, monkeypatch):
         for line in block.splitlines()
         if line.startswith("fidmod ")
     ]
+    stdin_example = r"echo '(.*?)' \\\n\s*\| fidmod (.*?)\n"
+    return commands, re.search(stdin_example, readme, flags=re.S).groups()
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    commands, (payload, stdin_command) = _readme_cli_commands()
     outputs = {}
     for command in commands:
         assert main(shlex.split(command)) == 0, command
         outputs[command] = capsys.readouterr().out
 
-    stdin_example = r"echo '(.*?)' \\\n\s*\| fidmod (.*?)\n"
-    payload, command = re.search(stdin_example, readme, flags=re.S).groups()
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
-    assert main(shlex.split(command)) == 0, command
+    assert main(shlex.split(stdin_command)) == 0, stdin_command
     assert json.loads(capsys.readouterr().out)["polynomials"] == [[], ["1"]]
 
     schemas = readme.split("### JSON schemas")[1].split("## Library tour")[0]
@@ -142,3 +149,16 @@ def test_readme_cli_block_runs(capsys, monkeypatch):
         (command,) = [c for c in commands if c.startswith(label + " ")]
         documented = json.loads(sample.replace(", ...", ""))
         assert _key_paths(documented) == _key_paths(json.loads(outputs[command])), label
+
+
+def test_commands_return_their_text_and_main_alone_writes_it(capsys, monkeypatch):
+    commands, (payload, stdin_command) = _readme_cli_commands()
+    for command in commands + [stdin_command]:
+        argv = shlex.split(command)
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        args = build_parser().parse_args(argv)
+        code, text = args.func(args)
+        assert capsys.readouterr().out == "", command
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        assert main(argv) == code, command
+        assert capsys.readouterr().out == text != "", command
