@@ -2,7 +2,7 @@
 
 This is the brute-force oracle for the strip-chain machinery: character
 values come from the Murnaghan-Nakayama recursion, inductions from Young
-subgroups use the cycle-type-splitting formula with multinomial weights,
+subgroups are power-sum products of the factors' Frobenius characteristics,
 and decomposition into irreducibles is the usual inner product.  All
 arithmetic is exact.
 """
@@ -99,88 +99,35 @@ def character_value(lam: Partition, rho: CycleType) -> int:
     return total
 
 
-def irreducible_character(lam: Partition) -> ClassFunction:
-    """The character of the irreducible representation of shape lam."""
-    n = sum(lam)
-    return ClassFunction(n, {rho: character_value(lam, rho) for rho in partitions_of(n)})
-
-
-def trivial_character(n: int) -> ClassFunction:
-    return ClassFunction(n, {rho: 1 for rho in partitions_of(n)})
-
-
-def _splitting_sum(
-    factors: Sequence[ClassFunction],
-    lengths: Sequence[int],
-    counts: Sequence[int],
-) -> int:
-    """Induced-character value as a sum over distributions of the cycles of a
-    class among the factors.  Each way of splitting the multiset of cycles is
-    weighted by the number of ways to choose which actual cycles go where
-    (a product of binomials per distinct length); the centralizer powers of
-    the lengths cancel between the group and the subgroup.
-    """
-    k = len(factors)
-    assigned: list[list[int]] = [[] for _ in range(k)]
-    remaining = [f.n for f in factors]
-
-    def over_lengths(idx: int) -> int:
-        if idx == len(lengths):
-            if any(remaining):
-                return 0
-            prod = 1
-            for i, f in enumerate(factors):
-                prod *= f(tuple(sorted(assigned[i], reverse=True)))
-                if prod == 0:
-                    return 0
-            return prod
-        c, m = lengths[idx], counts[idx]
-        total = 0
-
-        def distribute(fac: int, left: int, weight: int) -> None:
-            nonlocal total
-            if fac == k:
-                if left == 0:
-                    total += weight * over_lengths(idx + 1)
-                return
-            cap = min(left, remaining[fac] // c)
-            for take in range(cap + 1):
-                remaining[fac] -= take * c
-                assigned[fac].extend([c] * take)
-                distribute(fac + 1, left - take, weight * math.comb(left, take))
-                if take:
-                    del assigned[fac][-take:]
-                remaining[fac] += take * c
-
-        distribute(0, m, 1)
-        return total
-
-    return over_lengths(0)
-
-
-def induce_product(factors: Sequence[ClassFunction]) -> ClassFunction:
-    """Character of the induction of an exterior product of characters from
-    the corresponding Young subgroup to the full symmetric group."""
-    fs = [f for f in factors if f.n > 0]
-    n = sum(f.n for f in fs)
-    values: dict[CycleType, int] = {}
-    for rho in partitions_of(n):
-        lengths = sorted(set(rho), reverse=True)
-        counts = [sum(1 for x in rho if x == c) for c in lengths]
-        values[rho] = _splitting_sum(fs, lengths, counts)
-    return ClassFunction(n, values)
-
-
 def induce_trivial_product(mu: Partition, a: Sequence[int]) -> ClassFunction:
     """Character of S^mu x (trivial x ... x trivial) induced from the Young
     subgroup indexed by mu's size and the composition a.  Zero parts of a
-    contribute trivial group factors and are skipped."""
+    contribute trivial group factors and are skipped.
+
+    The Frobenius characteristic of an induced product is the product of the
+    factors' characteristics (Macdonald I.7).  Each factor of size k enters
+    as k! times its characteristic, the integer map sigma -> chi(sigma) *
+    class_size(sigma) in the power-sum basis, so that the product of power
+    sums is the concatenation of cycle types; the induced value at rho is
+    z_rho times the coefficient of p_rho, divided by the product of the k!.
+    """
     mu = tuple(mu)
-    factors = []
-    if sum(mu) > 0:
-        factors.append(irreducible_character(mu))
-    factors.extend(trivial_character(x) for x in a if x > 0)
-    return induce_product(factors)
+    sizes = [sum(mu)] + [k for k in a if k > 0]
+    factors = [{s: character_value(mu, s) * class_size(s) for s in partitions_of(sizes[0])}]
+    factors += [{s: class_size(s) for s in partitions_of(k)} for k in sizes[1:]]
+    product: dict[CycleType, int] = {(): 1}
+    for factor in factors:
+        terms: dict[CycleType, int] = {}
+        for rho, coeff in product.items():
+            for sigma, weight in factor.items():
+                key = tuple(sorted(rho + sigma, reverse=True))
+                terms[key] = terms.get(key, 0) + coeff * weight
+        product = terms
+    denom = math.prod(math.factorial(k) for k in sizes)
+    n = sum(sizes)
+    return ClassFunction(
+        n, {rho: centralizer_order(rho) * product.get(rho, 0) // denom for rho in partitions_of(n)}
+    )
 
 
 def decompose(chi: ClassFunction) -> Decomposition:

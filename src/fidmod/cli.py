@@ -273,14 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, fmt: str, source=None) -> None:
-        """--d, --gen (required, or a choice of the exclusive group `source`), --format."""
+    def add_common(p: argparse.ArgumentParser, fmt: str, stdin: bool = False) -> None:
+        """--d, --gen (required, or with `stdin` one choice of --gen | --stdin), --format."""
         p.add_argument("--d", type=positive_int, required=True, help="number of colors (>= 1)")
-        (source or p).add_argument(
+        # argparse brackets a group in the usage line only if its options were added adjacently.
+        source = p.add_mutually_exclusive_group(required=True) if stdin else p
+        source.add_argument(
             "--gen",
-            required=source is None,
+            required=not stdin,
             help='generator: "M(k)" for the regular generator or a partition literal "[a,b,...]"',
         )
+        if stdin:
+            source.add_argument(
+                "--stdin",
+                action="store_true",
+                help='read the series from stdin as {"series": {"0": "1", ...}}',
+            )
         p.add_argument("--format", choices=("json", "tsv"), default=fmt)
 
     p_dim = sub.add_parser("dim", help="level dimensions over a degree range")
@@ -306,17 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.set_defaults(func=cmd_stabilize)
 
     p_fit = sub.add_parser("fit", help="exact series fitting")
-    source = p_fit.add_mutually_exclusive_group(required=True)
-    add_common(p_fit, "json", source)
+    add_common(p_fit, "json", stdin=True)
     p_fit.add_argument("--mode", choices=("dims", "mult"), required=True)
     p_fit.add_argument("--lambda", dest="lam", help="core partition for mult mode (default [])")
     p_fit.add_argument("--degree-bound", type=non_negative_int, default=None)
     p_fit.add_argument("--window", default=None, help="inclusive fit window, e.g. 4..12")
-    source.add_argument(
-        "--stdin",
-        action="store_true",
-        help='read the series from stdin as {"series": {"0": "1", ...}}',
-    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_oracle = sub.add_parser(

@@ -151,9 +151,22 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     if n == 0:
         yield ()
         return
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if cap < 1:
+        return
+    # Iterative, so the depth is not bounded by the recursion limit: fill the
+    # freed boxes greedily with parts <= `part`, then lower the last part above 1.
+    parts: list[int] = []
+    part, freed = cap, n
+    while True:
+        parts += [part] * (freed // part) + ([freed % part] if freed % part else [])
+        yield tuple(parts)
+        freed = 0
+        while parts and parts[-1] == 1:
+            freed += parts.pop()
+        if not parts:
+            return
+        part = parts.pop() - 1
+        freed += part + 1
 
 
 def multinomial(parts: Iterable[int]) -> int:

@@ -3,18 +3,24 @@
 None of these is on the library's production path, so they live with the
 tests rather than in the package: a box enumerator for exhaustive sweeps,
 the strip-removal builder that mirrors `pieri.add_horizontal_strip`,
-per-composition strip-chain counts built from it, and a brute-force count
-of column-strict skew fillings.  The chain counts cross-check
+per-composition strip-chain counts built from it, a brute-force count
+of column-strict skew fillings, and induced characters summed over every
+element of a Young subgroup.  The chain counts cross-check
 `pieri_product` and, summed over compositions, `bounded_chain_count`; the
-filling count cross-checks the chain counts.
+filling count cross-checks the chain counts; the induced characters
+cross-check `characters.induce_trivial_product`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from functools import cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from fidmod.partitions import Partition, contains
+from fidmod.characters import ClassFunction, character_value
+from fidmod.partitions import Partition, contains, partitions_of
 
 
 def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:
@@ -118,3 +124,36 @@ def skew_filling_count(outer: Partition, inner: Partition, content: tuple[int, .
         return total
 
     return fill(0)
+
+
+def _cycle_type(perm: tuple[int, ...]) -> Partition:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i], i, length = True, perm[i], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def induced_character_by_definition(mu: Partition, a: Sequence[int]) -> ClassFunction:
+    """Ind of chi^mu x trivial x ... from H = S_|mu| x S_a1 x ... by definition.
+
+    Enumerates every element of H, block by block, and sums chi^mu of block
+    0 by the cycle type of the whole element; the value at rho is z_rho/|H|
+    times that sum.  |H| = |mu|! * prod(a_i!), so keep the sizes small.
+    """
+    sizes = [sum(mu), *a]
+    blocks = [[_cycle_type(p) for p in itertools.permutations(range(k))] for k in sizes]
+    sums: Counter[Partition] = Counter()
+    for types in itertools.product(*blocks):
+        rho = tuple(sorted(itertools.chain(*types), reverse=True))
+        sums[rho] += character_value(mu, types[0])
+    order = math.prod(len(block) for block in blocks)
+    z = {
+        rho: math.prod(k**m * math.factorial(m) for k, m in Counter(rho).items())
+        for rho in partitions_of(sum(sizes))
+    }
+    return ClassFunction(sum(sizes), {rho: z[rho] * sums[rho] // order for rho in z})

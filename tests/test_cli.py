@@ -82,6 +82,17 @@ def test_decompose_tsv(capsys):
     assert out.splitlines() == ["partition\tmultiplicity", "[2]\t3", "[1,1]\t1"]
 
 
+@pytest.mark.parametrize(
+    "d,gen,n,terms,row_multiplicity",
+    [("1", "M(0)", 5000, 1, 1), ("2", "M(0)", 995, 498, 996), ("2", "[1]", 1000, 1000, 1000)],
+)
+def test_decompose_level_past_recursion_limit(capsys, d, gen, n, terms, row_multiplicity):
+    argv = ("decompose", "--d", d, "--gen", gen, "--n", str(n), "--format", "tsv")
+    code, out, err = run_cli(capsys, *argv)
+    rows = out.splitlines()[1:]
+    assert (code, err, len(rows), rows[0]) == (0, "", terms, f"[{n}]\t{row_multiplicity}")
+
+
 def test_determinism(capsys):
     args = ("decompose", "--d", "3", "--gen", "M(2)", "--n", "5")
     _, first, _ = run_cli(capsys, *args)
@@ -183,6 +194,7 @@ def test_fit_stdin_corrupted_series_exits_3(capsys, monkeypatch):
 def test_fit_requires_gen_or_stdin(capsys):
     code, _, err = run_cli(capsys, "fit", "--mode", "dims", "--d", "2")
     assert code == 2
+    assert "(--gen GEN | --stdin)" in " ".join(err.split())
 
 
 def test_fit_gen_and_stdin_are_exclusive(capsys, monkeypatch):

@@ -144,6 +144,13 @@ def test_partitions_of_counts():
         parts = list(partitions_of(n))
         assert len(parts) == count
         assert parts == sorted(parts, reverse=True)
+    # A partition of n has rows + first part <= n + 1, so these boxes hold all with n <= 12.
+    boxed = {lam for rows in range(13) for lam in partitions_in_box(rows, 13 - rows)}
+    for n in range(13):
+        of_n = [lam for lam in boxed if sum(lam) == n]
+        for k in range(n + 2):
+            bounded = sorted((lam for lam in of_n if max(lam, default=0) <= k), reverse=True)
+            assert list(partitions_of(n, k)) == bounded, (n, k)
 
 
 def test_partitions_in_box_count():
