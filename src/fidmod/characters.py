@@ -3,7 +3,9 @@
 This is the brute-force oracle for the strip-chain machinery: character
 values come from the Murnaghan-Nakayama recursion, inductions from Young
 subgroups are power-sum products of the factors' Frobenius characteristics,
-and decomposition into irreducibles is the usual inner product.  All
+and decomposition into irreducibles is the usual inner product.  One memo
+table per n, `_class_sizes`, lists the cycle types of S_n with their class
+sizes; class functions, inductions and decompositions all read it.  All
 arithmetic is exact.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .partitions import Partition, partitions_of
@@ -32,9 +35,9 @@ class ClassFunction:
     values: Mapping[CycleType, int]
 
     def __post_init__(self):
-        expected = set(partitions_of(self.n))
-        if set(self.values) != expected:
-            missing = expected - set(self.values)
+        expected = _class_sizes(self.n).keys()
+        if self.values.keys() != expected:
+            missing = expected - self.values.keys()
             raise ValueError(f"class function must cover every cycle type; missing {missing}")
 
     def __call__(self, rho: CycleType) -> int:
@@ -58,6 +61,13 @@ def centralizer_order(rho: CycleType) -> int:
 def class_size(rho: CycleType) -> int:
     """Number of permutations with cycle type rho."""
     return math.factorial(sum(rho)) // centralizer_order(rho)
+
+
+@cache
+def _class_sizes(n: int) -> Mapping[CycleType, int]:
+    """Read-only map from each cycle type of S_n, in `partitions_of` order,
+    to its class size."""
+    return MappingProxyType({rho: class_size(rho) for rho in partitions_of(n)})
 
 
 def _strip_removals(lam: Partition, t: int) -> list[tuple[Partition, int]]:
@@ -113,8 +123,9 @@ def induce_trivial_product(mu: Partition, a: Sequence[int]) -> ClassFunction:
     """
     mu = tuple(mu)
     sizes = [sum(mu)] + [k for k in a if k > 0]
-    factors = [{s: character_value(mu, s) * class_size(s) for s in partitions_of(sizes[0])}]
-    factors += [{s: class_size(s) for s in partitions_of(k)} for k in sizes[1:]]
+    first = _class_sizes(sizes[0])
+    factors = [{s: character_value(mu, s) * size for s, size in first.items()}]
+    factors += [_class_sizes(k) for k in sizes[1:]]
     product: dict[CycleType, int] = {(): 1}
     for factor in factors:
         terms: dict[CycleType, int] = {}
@@ -125,8 +136,10 @@ def induce_trivial_product(mu: Partition, a: Sequence[int]) -> ClassFunction:
         product = terms
     denom = math.prod(math.factorial(k) for k in sizes)
     n = sum(sizes)
+    nfact = math.factorial(n)  # z_rho = n! / |class of rho|
+    classes = _class_sizes(n)
     return ClassFunction(
-        n, {rho: centralizer_order(rho) * product.get(rho, 0) // denom for rho in partitions_of(n)}
+        n, {rho: nfact // size * product.get(rho, 0) // denom for rho, size in classes.items()}
     )
 
 
@@ -139,11 +152,11 @@ def decompose(chi: ClassFunction) -> Decomposition:
     """
     n = chi.n
     nfact = math.factorial(n)
-    classes = list(partitions_of(n))
-    sizes = {rho: class_size(rho) for rho in classes}
+    sizes = _class_sizes(n)
+    values = chi.values
     terms: dict[Partition, int] = {}
-    for lam in classes:
-        s = sum(sizes[rho] * chi(rho) * character_value(lam, rho) for rho in classes)
+    for lam in sizes:
+        s = sum(size * values[rho] * character_value(lam, rho) for rho, size in sizes.items())
         mult, rem = divmod(s, nfact)
         if rem or mult < 0:
             raise NotACharacter(f"inner product with {lam} is {s}/{nfact}")

@@ -27,7 +27,7 @@ from .free_modules import (
 )
 from .characters import decompose, induce_trivial_product
 from .partitions import compositions, new_partition, partitions_of
-from .pieri import pieri_product
+from .pieri import Decomposition, pieri_product
 from .stability import (
     NoExactFit,
     default_dims_window,
@@ -223,15 +223,25 @@ def oracle_scan(max_total: int, max_length: int = 3):
     """Compare every chain-count product against the character oracle for
     |mu| + sum(a) <= max_total and composition length <= max_length.
 
+    The induced character depends only on mu and the multiset of non-zero
+    parts of a, so it is built and decomposed once per such pair, from the
+    first composition that has it; every ordered composition still gets its
+    own `pieri_product`, compared against that shared decomposition.
+
     Returns (cases, first_discrepancy_or_None)."""
     cases = 0
     for msize in range(max_total + 1):
         for mu in partitions_of(msize):
+            by_parts: dict[tuple[int, ...], Decomposition] = {}
             for total in range(max_total - msize + 1):
                 for length in range(1, max_length + 1):
                     for a in compositions(total, length):
                         combinatorial = pieri_product(mu, a)
-                        character = decompose(induce_trivial_product(mu, a))
+                        parts = tuple(sorted(k for k in a if k))
+                        character = by_parts.get(parts)
+                        if character is None:
+                            character = decompose(induce_trivial_product(mu, a))
+                            by_parts[parts] = character
                         cases += 1
                         if combinatorial != character:
                             return cases, {

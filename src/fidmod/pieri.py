@@ -186,7 +186,7 @@ def bounded_chain_count(mu: Partition, lam: Partition, steps: int) -> int:
 
 def clear_caches() -> None:
     """Drop every memo table in fidmod (mainly for test isolation)."""
-    from .characters import character_value  # characters imports this module
+    from .characters import _class_sizes, character_value  # characters imports this module
 
-    for table in (_chain_counts, bounded_chain_count, character_value):
+    for table in (_chain_counts, bounded_chain_count, character_value, _class_sizes):
         table.cache_clear()

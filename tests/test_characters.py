@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from fidmod.characters import (
     ClassFunction,
     NotACharacter,
+    _class_sizes,
     centralizer_order,
     character_value,
     class_size,
@@ -23,8 +25,11 @@ def test_class_sizes_s3():
 
 
 def test_class_sizes_sum_to_group_order():
-    for n in range(1, 8):
-        assert sum(class_size(rho) for rho in partitions_of(n)) == math.factorial(n)
+    for n in range(11):
+        table = _class_sizes(n)
+        assert list(table) == list(partitions_of(n))
+        assert all(size == class_size(rho) for rho, size in table.items())
+        assert sum(table.values()) == math.factorial(n)
 
 
 def test_centralizer_order():
@@ -173,3 +178,25 @@ def test_induction_matches_definition():
                         assert induce_trivial_product(mu, a) == expected, (mu, a)
                         cases += 1
     assert cases == 605
+
+
+def test_induction_depends_only_on_the_multiset_of_nonzero_parts():
+    # cli.oracle_scan shares one induced character among such compositions.
+    for msize in range(7):
+        for mu in partitions_of(msize):
+            for total in range(7 - msize):
+                for parts in partitions_of(total):
+                    expected = induce_trivial_product(mu, parts)
+                    for padded in (parts, parts + (0,), (0,) + parts + (0,)):
+                        for a in set(itertools.permutations(padded)):
+                            assert induce_trivial_product(mu, a) == expected, (mu, a)
+
+
+@pytest.mark.parametrize(
+    "mu, a",
+    [((2, 1), (1, 0, 2, 1)), ((1, 1), (2, 0, 1, 1, 0)), ((), (1, 2, 0, 1, 1)), ((1,), (0, 1, 3))],
+)
+def test_reordered_induction_matches_definition(mu, a):
+    expected = induced_character_by_definition(mu, a)
+    assert induce_trivial_product(mu, a) == expected
+    assert induce_trivial_product(mu, sorted(a, reverse=True)) == expected

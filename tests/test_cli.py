@@ -4,12 +4,15 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fidmod import cli
+from fidmod.characters import decompose, induce_trivial_product
 from fidmod.cli import MAX_FIT_DEGREE, main
+from fidmod.partitions import compositions, partitions_of
 from fidmod.pieri import Decomposition
 
 
@@ -346,6 +349,66 @@ def test_oracle_check_failure_text_reaches_stdout(capsys, monkeypatch):
     monkeypatch.setattr(cli, "pieri_product", lambda mu, a: Decomposition(sum(mu) + sum(a), {}))
     code, out, _ = run_cli(capsys, "oracle-check", "--max", "1")
     assert code == 4 and out.startswith("FAIL at case 1: mu=[] a=[0]")
+
+
+def _oracle_scan_order(max_total, max_length=3):
+    """(mu, a) in the order oracle_scan visits them, one per case."""
+    for msize in range(max_total + 1):
+        for mu in partitions_of(msize):
+            for total in range(max_total - msize + 1):
+                for length in range(1, max_length + 1):
+                    for a in compositions(total, length):
+                        yield mu, a
+
+
+def _nonzero_parts(a):
+    return tuple(sorted(k for k in a if k))
+
+
+@pytest.mark.parametrize("bad", [(2, 1), (1, 2), (0, 2, 1)])
+def test_oracle_scan_compares_every_ordering(monkeypatch, bad):
+    # For mu = (1) the parts {1, 2} first appear as a = (2, 1); (1, 2) and
+    # (0, 2, 1) come later and reuse its character.  A wrong chain count on
+    # any one ordering must still fail at that ordering's own case number.
+    mu = (1,)
+    order = list(_oracle_scan_order(4))
+    first_seen = next(a for m, a in order if m == mu and _nonzero_parts(a) == (1, 2))
+    assert first_seen == (2, 1)
+    real = cli.pieri_product
+
+    def corrupted(m, a):
+        return real(m, (sum(a),)) if (m, a) == (mu, bad) else real(m, a)
+
+    monkeypatch.setattr(cli, "pieri_product", corrupted)
+    cases, witness = cli.oracle_scan(4)
+    assert cases == order.index((mu, bad)) + 1
+    assert witness == {
+        "mu": [1],
+        "a": list(bad),
+        "chain_counts": real(mu, (3,)).to_json_dict(),
+        "character_oracle": decompose(induce_trivial_product(mu, bad)).to_json_dict(),
+    }
+
+
+@pytest.mark.parametrize("max_total, cases, characters", [(6, 605, 127), (7, 1061, 219)])
+def test_oracle_scan_builds_each_character_once(monkeypatch, max_total, cases, characters):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("induce_trivial_product", "decompose"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert cli.oracle_scan(max_total) == (cases, None)
+    assert calls == {"induce_trivial_product": characters, "decompose": characters}
+    keys = {(mu, _nonzero_parts(a)) for mu, a in _oracle_scan_order(max_total)}
+    assert len(keys) == characters
 
 
 def _series_payload(degrees):
