@@ -4,8 +4,8 @@ Subcommands wrap the library one-to-one and print machine-readable tables
 (JSON or TSV), byte-identical on identical invocations.  Each command returns
 its exit code and its answer as text, and `main` alone writes that text, so
 nothing reaches stdout when a command raises.  Exit codes: 0 success, 2 usage
-or parse error (including a fit past MAX_FIT_DEGREE or MAX_FIT_WORK), 3 no
-stabilization / no exact fit, 4 internal invariant breach.
+or parse error (including a generator or fit past a MAX_* bound), 3 no exact
+fit, 4 internal invariant breach (including a non-constant stabilization tail).
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import sys
 from typing import Sequence
 
 from .free_modules import (
-    DEFAULT_STABILIZATION_HORIZON,
     FreeModuleSpec,
-    NoStabilization,
     decompose_at,
     dim_at,
     guarantee_shift,
@@ -50,6 +48,11 @@ ORACLE_LIMIT = 8
 #: division).  2-CPU host: d = 4, degree bound 2 at degree 10^4 is 1e14, 0.7 s.
 MAX_FIT_DEGREE = 10_000
 MAX_FIT_WORK = 10**14
+#: Largest k in --gen "M(k)" and degree of a partition-literal --gen.  2-CPU host:
+#: M(40) (37,338 constituents) builds in 1.3 s and stabilizes at d = 2, pads 0,0
+#: (85 shifts) in 5.2 s and 261 MB; [10000] there (20,005 shifts) in 0.34 s.
+MAX_REGULAR_DEGREE = 40
+MAX_GENERATOR_DEGREE = 10_000
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -66,8 +69,14 @@ def _parse_generator(text: str, d: int) -> FreeModuleSpec:
     text = text.strip()
     match = re.fullmatch(r"M\((\d+)\)", text)
     if match:
-        return FreeModuleSpec.regular(d, int(match.group(1)))
-    return FreeModuleSpec.of_irreducible(d, _parse_partition(text))
+        m = int(match.group(1))
+        if m > MAX_REGULAR_DEGREE:
+            raise ValueError(f"M(k) needs k <= {MAX_REGULAR_DEGREE}, got {m}")
+        return FreeModuleSpec.regular(d, m)
+    lam = _parse_partition(text)
+    if sum(lam) > MAX_GENERATOR_DEGREE:
+        raise ValueError(f"generator degree must be <= {MAX_GENERATOR_DEGREE}, got {sum(lam)}")
+    return FreeModuleSpec.of_irreducible(d, lam)
 
 
 def _parse_range(text: str) -> range:
@@ -153,7 +162,7 @@ def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
     spec = _parse_generator(args.gen, args.d)
     lam = _parse_partition(args.lam)
     pads = _parse_pads(args.pads)
-    value, onset = stabilized_padded_multiplicity(spec, lam, pads, horizon=args.horizon)
+    value, onset = stabilized_padded_multiplicity(spec, lam, pads)
     payload = {
         "command": "stabilize",
         "d": args.d,
@@ -219,9 +228,9 @@ def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, _render(args, payload, rows)
 
 
-def oracle_scan(max_total: int, max_length: int = 3):
+def oracle_scan(max_total: int):
     """Compare every chain-count product against the character oracle for
-    |mu| + sum(a) <= max_total and composition length <= max_length.
+    |mu| + sum(a) <= max_total and compositions a of length 1, 2 and 3.
 
     The induced character depends only on mu and the multiset of non-zero
     parts of a, so it is built and decomposed once per such pair, from the
@@ -234,7 +243,7 @@ def oracle_scan(max_total: int, max_length: int = 3):
         for mu in partitions_of(msize):
             by_parts: dict[tuple[int, ...], Decomposition] = {}
             for total in range(max_total - msize + 1):
-                for length in range(1, max_length + 1):
+                for length in (1, 2, 3):
                     for a in compositions(total, length):
                         combinatorial = pieri_product(mu, a)
                         parts = tuple(sorted(k for k in a if k))
@@ -315,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_stab, "json")
     p_stab.add_argument("--lambda", dest="lam", required=True, help='core partition, e.g. "[]"')
     p_stab.add_argument("--pads", required=True, help="comma-separated base pads, e.g. 2,2")
-    p_stab.add_argument(
-        "--horizon",
-        type=non_negative_int,
-        default=DEFAULT_STABILIZATION_HORIZON,
-        help=f"search horizon (default: {DEFAULT_STABILIZATION_HORIZON})",
-    )
     p_stab.set_defaults(func=cmd_stabilize)
 
     p_fit = sub.add_parser("fit", help="exact series fitting")
@@ -348,10 +351,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, text = args.func(args)
-    except (NoStabilization, NoExactFit) as exc:
+    except NoExactFit as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_FIT
-    except (ValueError, KeyError) as exc:  # InsufficientPoints and JSONDecodeError are ValueErrors
+    except ValueError as exc:  # InsufficientPoints and JSONDecodeError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # invariant breach: anything unexpected

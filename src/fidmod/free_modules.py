@@ -34,10 +34,10 @@ class NotContained(ValueError):
 
 
 class NoStabilization(RuntimeError):
-    """No multiplicity plateau found within the search horizon."""
+    """Multiplicities past guarantee_shift are not constant: for a free
+    module that breaks the stability property, an internal invariant."""
 
 
-DEFAULT_STABILIZATION_HORIZON = 50
 #: Shifts examined beyond the guaranteed stability point to confirm a plateau.
 PLATEAU_CONFIRM_SHIFTS = 4
 
@@ -47,34 +47,32 @@ class FreeModuleSpec:
     """Free module on a degree-m generator representation, with d colors."""
 
     d: int
-    m: int
     generator: Decomposition
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"color count must be >= 1, got {self.d}")
-        if self.m < 0:
-            raise ValueError(f"generator degree must be >= 0, got {self.m}")
-        if self.generator.n != self.m:
-            raise ValueError(
-                f"generator has degree {self.generator.n}, expected {self.m}"
-            )
         if not self.generator:
             raise ValueError("generator representation must be non-zero")
         for lam in self.generator.support():
             new_partition(lam)
 
+    @property
+    def m(self) -> int:
+        """Generator degree."""
+        return self.generator.n
+
     @classmethod
     def regular(cls, d: int, m: int) -> "FreeModuleSpec":
         """M(m): the free module on the full regular representation."""
         gen = {lam: dim_irreducible(lam) for lam in partitions_of(m)}
-        return cls(d, m, Decomposition(m, gen))
+        return cls(d, Decomposition(m, gen))
 
     @classmethod
     def of_irreducible(cls, d: int, lam: Sequence[int]) -> "FreeModuleSpec":
         """M(S^lam): the free module on a single irreducible generator."""
         lam = tuple(lam)
-        return cls(d, sum(lam), Decomposition(sum(lam), {lam: 1}))
+        return cls(d, Decomposition(sum(lam), {lam: 1}))
 
     def generator_dimension(self) -> int:
         return self.generator.total_dimension()
@@ -205,17 +203,14 @@ def guarantee_shift(spec: FreeModuleSpec, base_pads: Sequence[int]) -> int:
 
 
 def stabilized_padded_multiplicity(
-    spec: FreeModuleSpec,
-    lam: Partition,
-    base_pads: Sequence[int],
-    horizon: int = DEFAULT_STABILIZATION_HORIZON,
+    spec: FreeModuleSpec, lam: Partition, base_pads: Sequence[int]
 ) -> StabilizationResult:
     """Stable value of the multiplicity of (lam, base_pads + shift) as the
     shift grows, with the smallest shift from which the value never changes.
 
-    The plateau is confirmed on PLATEAU_CONFIRM_SHIFTS extra shifts past the
-    structural guarantee point; a non-constant tail there would falsify the
-    stability property and raises NoStabilization loudly.
+    Computes shifts 0..guarantee_shift + PLATEAU_CONFIRM_SHIFTS, at most
+    2m + 5 of them; a non-constant tail past guarantee_shift would falsify
+    the stability property and raises NoStabilization.
     """
     lam = tuple(lam)
     pads = tuple(int(x) for x in base_pads)
@@ -224,14 +219,9 @@ def stabilized_padded_multiplicity(
     if any(pads[i - 1] < pads[i] for i in range(1, len(pads))):
         raise UnsortedPads(f"base pads must be weakly decreasing, got {pads}")
     guarantee = guarantee_shift(spec, pads)
-    last = guarantee + PLATEAU_CONFIRM_SHIFTS
-    if last > horizon:
-        raise NoStabilization(
-            f"confirming the plateau needs shifts up to {last}, horizon is {horizon}"
-        )
     values = [
         padded_multiplicity(spec, PaddedLabel(lam, tuple(p + l for p in pads)))
-        for l in range(last + 1)
+        for l in range(guarantee + PLATEAU_CONFIRM_SHIFTS + 1)
     ]
     stable = values[guarantee]
     if any(v != stable for v in values[guarantee:]):

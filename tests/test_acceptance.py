@@ -63,7 +63,7 @@ def test_c01_hook_formula_oracle():
 
 def test_c02_pieri_character_oracle():
     start = time.perf_counter()
-    cases, witness = oracle_scan(7, max_length=3)
+    cases, witness = oracle_scan(7)
     elapsed = time.perf_counter() - start
     ok = witness is None and elapsed < 60.0
     _verdict(

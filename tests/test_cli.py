@@ -129,13 +129,57 @@ def test_stabilize_trivial_d1(capsys):
     assert code == 0
 
 
-def test_stabilize_horizon_exit_code(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "stabilize", "--d", "1", "--gen", "[2]", "--lambda", "[]", "--pads", "0",
-        "--horizon", "1",
+def test_stabilize_runs_to_the_structural_bound(capsys):
+    # guarantee_shift is 30 + 30 - 0 = 60: the plateau from shift 30 is
+    # confirmed on shifts 60..64.
+    code, out, _ = run_cli(
+        capsys, "stabilize", "--d", "1", "--gen", "[30]", "--lambda", "[]", "--pads", "0"
     )
-    assert code == 3 and "horizon" in err
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["onset"], payload["guarantee_shift"]) == ("1", 30, 60)
+
+
+def test_stabilize_non_constant_tail_exit_4(capsys, monkeypatch):
+    # A tail that keeps changing past guarantee_shift breaks the stability
+    # property of free modules: an invariant breach, not "no exact fit".
+    monkeypatch.setattr(
+        "fidmod.free_modules.padded_multiplicity", lambda spec, label: label.pads[0]
+    )
+    code, out, err = run_cli(
+        capsys, "stabilize", "--d", "1", "--gen", "[1]", "--lambda", "[]", "--pads", "0"
+    )
+    assert code == 4 and out == "" and "internal error: NoStabilization" in err
+
+
+def test_internal_key_error_exit_4(capsys, monkeypatch):
+    def broken(spec, n):
+        raise KeyError(n)
+
+    monkeypatch.setattr(cli, "dim_at", broken)
+    code, out, err = run_cli(capsys, "dim", "--d", "2", "--gen", "M(0)", "--range", "0..1")
+    assert code == 4 and out == "" and err.startswith("internal error: KeyError")
+
+
+@pytest.mark.parametrize(
+    "gen, bound",
+    [
+        (f"M({cli.MAX_REGULAR_DEGREE + 1})", cli.MAX_REGULAR_DEGREE),
+        (f"M({10**20})", cli.MAX_REGULAR_DEGREE),
+        (f"[{cli.MAX_GENERATOR_DEGREE + 1}]", cli.MAX_GENERATOR_DEGREE),
+        ("[" + ",".join(["1"] * (cli.MAX_GENERATOR_DEGREE + 1)) + "]", cli.MAX_GENERATOR_DEGREE),
+    ],
+    ids=["M(max+1)", "M(10^20)", "[max+1]", "[1^(max+1)]"],
+)
+def test_generator_above_bound_exit_2_before_build(capsys, monkeypatch, gen, bound):
+    # A started build would raise here and exit 4; the bound refuses first.
+    def unbuilt(*args):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(cli.FreeModuleSpec, "regular", unbuilt)
+    monkeypatch.setattr(cli.FreeModuleSpec, "of_irreducible", unbuilt)
+    code, out, err = run_cli(capsys, "dim", "--d", "2", "--gen", gen, "--range", "0..1")
+    assert code == 2 and out == "" and f"<= {bound}," in err
 
 
 def test_fit_dims(capsys):
@@ -266,12 +310,6 @@ def test_oracle_check_negative_max_exit_2(capsys):
     assert code == 2 and out == ""
 
 
-def test_stabilize_negative_horizon_exit_2(capsys):
-    args = ("stabilize", "--d", "2", "--gen", "M(0)", "--lambda", "[]", "--pads", "1,1")
-    code, out, _ = run_cli(capsys, *args, "--horizon", "-1")
-    assert code == 2 and out == ""
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -351,12 +389,12 @@ def test_oracle_check_failure_text_reaches_stdout(capsys, monkeypatch):
     assert code == 4 and out.startswith("FAIL at case 1: mu=[] a=[0]")
 
 
-def _oracle_scan_order(max_total, max_length=3):
+def _oracle_scan_order(max_total):
     """(mu, a) in the order oracle_scan visits them, one per case."""
     for msize in range(max_total + 1):
         for mu in partitions_of(msize):
             for total in range(max_total - msize + 1):
-                for length in range(1, max_length + 1):
+                for length in (1, 2, 3):
                     for a in compositions(total, length):
                         yield mu, a
 

@@ -5,7 +5,6 @@ import pytest
 
 from fidmod.free_modules import (
     FreeModuleSpec,
-    NoStabilization,
     NotContained,
     _composition_classes,
     constituent_multiplicity,
@@ -25,15 +24,13 @@ from fidmod.partitions import (
     pad,
     partitions_of,
 )
-from fidmod.pieri import bounded_chain_count
+from fidmod.pieri import Decomposition, bounded_chain_count
 from oracles import partitions_in_box
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         FreeModuleSpec.regular(0, 1)
-    with pytest.raises(ValueError):
-        FreeModuleSpec(2, 1, FreeModuleSpec.regular(2, 2).generator)
     spec = FreeModuleSpec.of_irreducible(2, (2, 1))
     assert spec.m == 3 and spec.generator.multiplicity((2, 1)) == 1
     # An unsorted generator such as (1, 2) would make decompose_at and
@@ -41,6 +38,15 @@ def test_spec_validation():
     for lam in [(1, 2), (2, 0), (2, -1), (0,)]:
         with pytest.raises(InvalidPartition):
             FreeModuleSpec.of_irreducible(2, lam)
+
+
+def test_generator_degree_is_read_from_the_generator():
+    for gen in (
+        Decomposition(0, {(): 1}),
+        Decomposition(3, {(2, 1): 2, (1, 1, 1): 1}),
+        FreeModuleSpec.regular(1, 4).generator,
+    ):
+        assert FreeModuleSpec(2, gen).m == gen.n
 
 
 def test_describe():
@@ -247,10 +253,11 @@ def test_stabilized_onset_and_value_for_delayed_case():
     assert value == 1 and onset == 2
 
 
-def test_stabilized_respects_horizon():
-    spec = FreeModuleSpec.of_irreducible(1, (2,))
-    with pytest.raises(NoStabilization):
-        stabilized_padded_multiplicity(spec, (), (0,), horizon=1)
+def test_stabilized_runs_to_the_structural_bound():
+    # guarantee_shift is 60: the plateau starts at shift 30 and is confirmed
+    # on shifts 60..64.
+    spec = FreeModuleSpec.of_irreducible(1, (30,))
+    assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
 
 
 def test_stabilized_rejects_unsorted_base():

@@ -1,5 +1,6 @@
 """The `fidmod` namespace: its supported names, and the README's examples."""
 
+import argparse
 import ast
 import inspect
 import io
@@ -162,3 +163,21 @@ def test_commands_return_their_text_and_main_alone_writes_it(capsys, monkeypatch
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         assert main(argv) == code, command
         assert capsys.readouterr().out == text != "", command
+
+
+def test_readme_names_only_options_the_parser_has():
+    # Everything from the CLI section on documents `fidmod`; the sections
+    # before it show pip and pytest flags.
+    cli_docs = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_docs))
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    defined = {
+        option
+        for subparser in commands.choices.values()
+        for action in subparser._actions
+        for option in action.option_strings
+    }
+    assert documented and documented <= defined, documented - defined
