@@ -3,21 +3,23 @@
 This is the brute-force oracle for the strip-chain machinery: character
 values come from the Murnaghan-Nakayama recursion, inductions from Young
 subgroups are power-sum products of the factors' Frobenius characteristics,
-and decomposition into irreducibles is the usual inner product.  One memo
-table per n, `_class_sizes`, lists the cycle types of S_n with their class
-sizes; class functions, inductions and decompositions all read it.  All
-arithmetic is exact.
+and decomposition into irreducibles is the usual inner product.  Two memo
+tables per n serve them: `_class_sizes` lists the cycle types of S_n with
+their class sizes, which class functions, inductions and decompositions all
+read, and `_weighted_table` holds every irreducible with its hook-length
+dimension and its character values weighted by class size, so that a
+decomposition is one dot product per irreducible.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from operator import mul
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, dim_irreducible, partitions_of
 from .pieri import Decomposition
 
 CycleType = Partition
@@ -27,18 +29,22 @@ class NotACharacter(ValueError):
     """Class function with a negative or non-integral irreducible multiplicity."""
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Integer-valued class function of a symmetric group, keyed by cycle type."""
-
+class _ClassFunctionFields(NamedTuple):
     n: int
     values: Mapping[CycleType, int]
 
-    def __post_init__(self):
-        expected = _class_sizes(self.n).keys()
-        if self.values.keys() != expected:
-            missing = expected - self.values.keys()
+
+class ClassFunction(_ClassFunctionFields):
+    """Integer-valued class function of a symmetric group, keyed by cycle type."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, values: Mapping[CycleType, int]) -> "ClassFunction":
+        expected = _class_sizes(n).keys()
+        if values.keys() != expected:
+            missing = expected - values.keys()
             raise ValueError(f"class function must cover every cycle type; missing {missing}")
+        return super().__new__(cls, n, values)
 
     def __call__(self, rho: CycleType) -> int:
         return self.values[tuple(rho)]
@@ -143,26 +149,44 @@ def induce_trivial_product(mu: Partition, a: Sequence[int]) -> ClassFunction:
     )
 
 
+@cache
+def _weighted_table(n: int) -> tuple[tuple[Partition, int, tuple[int, ...]], ...]:
+    """(lam, dim_irreducible(lam), row) for every lam of n, in `partitions_of`
+    order, where row lists |class of rho| * chi^lam(rho) over the cycle types
+    rho in `_class_sizes(n)` order."""
+    sizes = _class_sizes(n)
+    return tuple(
+        (
+            lam,
+            dim_irreducible(lam),
+            tuple(size * character_value(lam, rho) for rho, size in sizes.items()),
+        )
+        for lam in sizes
+    )
+
+
 def decompose(chi: ClassFunction) -> Decomposition:
-    """Decompose a genuine character into irreducibles by inner products.
+    """Decompose a genuine character into irreducibles by inner products:
+    the multiplicity of lam is its weighted row dotted with chi's values,
+    over n!.
 
     Raises NotACharacter when any inner product is negative or
-    non-integral, or when the multiplicities fail to add up to the
-    dimension chi(identity).
+    non-integral, or when the multiplicities times the hook-length
+    dimensions fail to add up to the dimension chi(identity).
     """
     n = chi.n
     nfact = math.factorial(n)
-    sizes = _class_sizes(n)
-    values = chi.values
+    vector = [chi.values[rho] for rho in _class_sizes(n)]
     terms: dict[Partition, int] = {}
-    for lam in sizes:
-        s = sum(size * values[rho] * character_value(lam, rho) for rho, size in sizes.items())
+    dimension = 0
+    for lam, dim, row in _weighted_table(n):
+        s = sum(map(mul, row, vector))
         mult, rem = divmod(s, nfact)
         if rem or mult < 0:
             raise NotACharacter(f"inner product with {lam} is {s}/{nfact}")
         if mult:
             terms[lam] = mult
-    dec = Decomposition(n, terms)
-    if dec.total_dimension() != chi.identity_value():
+            dimension += mult * dim
+    if dimension != chi.identity_value():
         raise NotACharacter("multiplicities do not account for the dimension")
-    return dec
+    return Decomposition(n, terms)

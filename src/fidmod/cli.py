@@ -4,8 +4,9 @@ Subcommands wrap the library one-to-one and print machine-readable tables
 (JSON or TSV), byte-identical on identical invocations.  Each command returns
 its exit code and its answer as text, and `main` alone writes that text, so
 nothing reaches stdout when a command raises.  Exit codes: 0 success, 2 usage
-or parse error (including a generator or fit past a MAX_* bound), 3 no exact
-fit, 4 internal invariant breach (including a non-constant stabilization tail).
+or parse error (including a generator, core or fit past a MAX_* bound), 3 no
+exact fit, 4 internal invariant breach (including a non-constant stabilization
+tail).
 """
 
 from __future__ import annotations
@@ -49,10 +50,17 @@ ORACLE_LIMIT = 8
 MAX_FIT_DEGREE = 10_000
 MAX_FIT_WORK = 10**14
 #: Largest k in --gen "M(k)" and degree of a partition-literal --gen.  2-CPU host:
-#: M(40) (37,338 constituents) builds in 1.3 s and stabilizes at d = 2, pads 0,0
-#: (85 shifts) in 5.2 s and 261 MB; [10000] there (20,005 shifts) in 0.34 s.
+#: M(40) (37,338 constituents) builds in 1.0 s, and `stabilize` at d = 2, pads 0,0
+#: (85 shifts) takes 1.6 s and 31 MB as a process; [10000] there (20,005 shifts)
+#: takes 0.31 s.
 MAX_REGULAR_DEGREE = 40
 MAX_GENERATOR_DEGREE = 10_000
+#: Most rows in a --lambda core.  Every shift or series degree is a Jacobi-Trudi
+#: determinant with len(core) + d rows.  2-CPU host, d = 2, --gen "[10000]" and the
+#: shortest pads (the most shifts the generator bound allows: ~20,000, about half
+#: of them determinants): `stabilize` with core [1^8] takes 1.3 s as a process,
+#: [1^12] 3.0 s, [1^16] 4.2 s.  Unbounded, [1^200] under [1] took 1.9 s.
+MAX_CORE_LENGTH = 12
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -63,6 +71,13 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     if not body:
         return ()
     return new_partition(int(tok) for tok in body.split(","))
+
+
+def _parse_core(text: str) -> tuple[int, ...]:
+    core = _parse_partition(text)
+    if len(core) > MAX_CORE_LENGTH:
+        raise ValueError(f"--lambda core must have <= {MAX_CORE_LENGTH} rows, got {len(core)}")
+    return core
 
 
 def _parse_generator(text: str, d: int) -> FreeModuleSpec:
@@ -160,7 +175,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
     spec = _parse_generator(args.gen, args.d)
-    lam = _parse_partition(args.lam)
+    lam = _parse_core(args.lam)
     pads = _parse_pads(args.pads)
     value, onset = stabilized_padded_multiplicity(spec, lam, pads)
     payload = {
@@ -209,7 +224,7 @@ def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
             "polynomials": [p.coefficient_strings() for p in fit.polynomials],
         }
     else:
-        lam = () if args.lam is None else _parse_partition(args.lam)
+        lam = () if args.lam is None else _parse_core(args.lam)
         degree_bound = args.degree_bound if args.degree_bound is not None else args.d - 1
         if series is None:
             window = window or default_multiplicity_window(spec, lam, degree_bound)

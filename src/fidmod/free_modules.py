@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .partitions import (
@@ -42,20 +41,45 @@ class NoStabilization(RuntimeError):
 PLATEAU_CONFIRM_SHIFTS = 4
 
 
-@dataclass(frozen=True)
 class FreeModuleSpec:
-    """Free module on a degree-m generator representation, with d colors."""
+    """Free module on a degree-m generator representation, with d colors.
 
-    d: int
-    generator: Decomposition
+    Immutable.  A slotted class rather than a NamedTuple: `spec.d` is read
+    on every targeted multiplicity, and a slot reads faster than a tuple
+    field property.
+    """
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"color count must be >= 1, got {self.d}")
-        if not self.generator:
+    __slots__ = ("d", "generator")
+
+    def __init__(self, d: int, generator: Decomposition):
+        if d < 1:
+            raise ValueError(f"color count must be >= 1, got {d}")
+        if not generator:
             raise ValueError("generator representation must be non-zero")
-        for lam in self.generator.support():
+        for lam in generator.support():
             new_partition(lam)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "generator", generator)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FreeModuleSpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"FreeModuleSpec is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d and self.generator == other.generator
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.generator))
+
+    def __repr__(self) -> str:
+        return f"FreeModuleSpec(d={self.d!r}, generator={self.generator!r})"
+
+    def __reduce__(self):
+        return FreeModuleSpec, (self.d, self.generator)
 
     @property
     def m(self) -> int:
@@ -127,15 +151,18 @@ def constituent_multiplicity(spec: FreeModuleSpec, target: Partition) -> int:
     Same value as decompose_at(spec, sum(target)).multiplicity(target) but
     without decomposing the whole level: each generator constituent mu adds
     its weight times a Jacobi-Trudi determinant (bounded_chain_count), which
-    sums the strip chains over all compositions at once.
+    sums the strip chains over all compositions at once.  Constituents that
+    target does not contain are skipped before the memoized call, so the
+    memo does not fill with zeros nobody reads back.
     """
     target = tuple(target)
     if sum(target) < spec.m:
         return 0
-    return sum(
-        weight * bounded_chain_count(mu, target, spec.d)
-        for mu, weight in spec.generator.items()
-    )
+    d, total = spec.d, 0
+    for mu, weight in spec.generator.items():
+        if contains(target, mu):
+            total += weight * bounded_chain_count(mu, target, d)
+    return total
 
 
 def greedy_step(mu: Partition, lam: Partition) -> Partition:

@@ -8,6 +8,7 @@ the empty tuple is the empty partition.  Everything here is pure, exact
 from __future__ import annotations
 
 import math
+from operator import le
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -45,9 +46,7 @@ def new_partition(parts: Iterable[int]) -> Partition:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """True iff the diagram of inner fits inside the diagram of outer."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def conjugate(lam: Partition) -> Partition:

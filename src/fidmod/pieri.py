@@ -186,7 +186,13 @@ def bounded_chain_count(mu: Partition, lam: Partition, steps: int) -> int:
 
 def clear_caches() -> None:
     """Drop every memo table in fidmod (mainly for test isolation)."""
-    from .characters import _class_sizes, character_value  # characters imports this module
+    from . import characters  # characters imports this module
 
-    for table in (_chain_counts, bounded_chain_count, character_value, _class_sizes):
+    for table in (
+        _chain_counts,
+        bounded_chain_count,
+        characters.character_value,
+        characters._class_sizes,
+        characters._weighted_table,
+    ):
         table.cache_clear()

@@ -11,9 +11,8 @@ coefficients themselves, and validates every window degree in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .free_modules import (
     FreeModuleSpec,
@@ -45,8 +44,7 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(NamedTuple):
     """Polynomial with exact rational coefficients, low degree first."""
 
     coeffs: tuple[Fraction, ...]
@@ -93,8 +91,7 @@ class RationalPolynomial:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class ExponentialPolynomial:
+class ExponentialPolynomial(NamedTuple):
     """n -> sum_i p_i(n) * i^n with rational polynomial coefficients."""
 
     polynomials: tuple[RationalPolynomial, ...]
@@ -219,24 +216,21 @@ def default_multiplicity_window(
     return list(range(start, start + degree_bound + 5))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     """Condition: the kernels of the d level maps intersect trivially."""
 
     degrees: tuple[int, ...]
     dimension_witness: bool
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(NamedTuple):
     """Condition: images of the level maps span the next level."""
 
     degrees: tuple[int, ...]
     dimensions_accounted: bool
 
 
-@dataclass(frozen=True)
-class PlateauReport:
+class PlateauReport(NamedTuple):
     """Condition: shifted padded multiplicities are eventually constant."""
 
     core: Partition
@@ -246,8 +240,7 @@ class PlateauReport:
     guarantee_shift: int
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Verdicts for injectivity and generation on a free module, and its
     measured plateaus, over explicitly listed degrees and probes only."""
 

@@ -1,8 +1,10 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
+from fidmod import characters
 from fidmod.characters import (
     ClassFunction,
     NotACharacter,
@@ -13,9 +15,10 @@ from fidmod.characters import (
     decompose,
     induce_trivial_product,
 )
+from fidmod.free_modules import FreeModuleSpec, decompose_at
 from fidmod.partitions import compositions, dim_irreducible, partitions_of
-from fidmod.pieri import pieri_product
-from oracles import induced_character_by_definition
+from fidmod.pieri import Decomposition, clear_caches, pieri_product
+from oracles import chain_multiplicity, induced_character_by_definition
 
 
 def test_class_sizes_s3():
@@ -200,3 +203,51 @@ def test_reordered_induction_matches_definition(mu, a):
     expected = induced_character_by_definition(mu, a)
     assert induce_trivial_product(mu, a) == expected
     assert induce_trivial_product(mu, sorted(a, reverse=True)) == expected
+
+
+def test_decompose_checks_dimension_against_hook_lengths(monkeypatch):
+    # Reading chi^lam(identity) off the weighted table would make the
+    # dimension check an identity; a wrong hook-length dim must fail it.
+    clear_caches()
+    true_dim = characters.dim_irreducible
+    monkeypatch.setattr(
+        characters, "dim_irreducible", lambda lam: true_dim(lam) + (lam == (3, 1))
+    )
+    regular = ClassFunction(4, {rho: 24 * (rho == (1, 1, 1, 1)) for rho in partitions_of(4)})
+    try:
+        with pytest.raises(NotACharacter, match="dimension"):
+            decompose(regular)
+    finally:
+        clear_caches()
+
+
+def _level_character(mu, d: int, n: int) -> ClassFunction:
+    """Character of level n of M(S^mu) with d colors: the inductions over the
+    compositions of n - |mu| into d parts, one per class of rearrangements
+    weighted by the class size."""
+    classes = Counter(tuple(sorted(a)) for a in compositions(n - sum(mu), d))
+    values = dict.fromkeys(partitions_of(n), 0)
+    for parts, ways in classes.items():
+        for rho, value in induce_trivial_product(mu, parts).values.items():
+            values[rho] += ways * value
+    return ClassFunction(n, values)
+
+
+def test_whole_levels_match_character_oracle():
+    # Three routes to a full level: the level's character decomposed by
+    # inner products, decompose_at, and strip chains over every ordered
+    # composition.
+    cases = 0
+    for d in (1, 2, 3):
+        for m in range(5):
+            for mu in partitions_of(m):
+                spec = FreeModuleSpec.of_irreducible(d, mu)
+                for n in range(m, 9):
+                    by_characters = decompose(_level_character(mu, d, n))
+                    by_chains = Decomposition(n, {
+                        lam: sum(chain_multiplicity(mu, a, lam) for a in compositions(n - m, d))
+                        for lam in partitions_of(n)
+                    })
+                    assert by_characters == decompose_at(spec, n) == by_chains, (d, mu, n)
+                    cases += 1
+    assert cases == 222

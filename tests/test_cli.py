@@ -182,6 +182,52 @@ def test_generator_above_bound_exit_2_before_build(capsys, monkeypatch, gen, bou
     assert code == 2 and out == "" and f"<= {bound}," in err
 
 
+def _column(rows: int) -> str:
+    return "[" + ",".join(["1"] * rows) + "]"
+
+
+CORE_AT_BOUND = _column(cli.MAX_CORE_LENGTH)
+SHORTEST_PAD = str(cli.MAX_CORE_LENGTH + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stabilize", "--gen", CORE_AT_BOUND, "--pads", f"{SHORTEST_PAD},{SHORTEST_PAD}"),
+        ("fit", "--mode", "mult", "--gen", CORE_AT_BOUND),
+    ],
+    ids=["stabilize", "fit-mult"],
+)
+def test_core_at_length_bound_runs(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--d", "2", "--lambda", CORE_AT_BOUND)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["lambda"] == [1] * cli.MAX_CORE_LENGTH
+    if argv[0] == "stabilize":
+        assert payload["value"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stabilize", "--gen", "[1]", "--pads", "99,99"),
+        ("fit", "--mode", "mult", "--gen", "[1]"),
+        ("fit", "--mode", "mult", "--stdin"),
+    ],
+    ids=["stabilize", "fit-mult", "fit-mult-stdin"],
+)
+def test_core_past_length_bound_exit_2_before_any_determinant(capsys, monkeypatch, argv):
+    def unreached(*args):
+        raise AssertionError("work started")
+
+    for name in ("stabilized_padded_multiplicity", "multiplicity_series", "fit_polynomial"):
+        monkeypatch.setattr(cli, name, unreached)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"series": {"0": "1"}}'))
+    core = _column(cli.MAX_CORE_LENGTH + 1)
+    code, out, err = run_cli(capsys, *argv, "--d", "2", "--lambda", core)
+    assert code == 2 and out == "" and f"<= {cli.MAX_CORE_LENGTH} rows" in err
+
+
 def test_fit_dims(capsys):
     code, out, _ = run_cli(capsys, "fit", "--mode", "dims", "--d", "2", "--gen", "M(0)")
     assert code == 0

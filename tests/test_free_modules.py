@@ -1,4 +1,5 @@
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -38,6 +39,34 @@ def test_spec_validation():
     for lam in [(1, 2), (2, 0), (2, -1), (0,)]:
         with pytest.raises(InvalidPartition):
             FreeModuleSpec.of_irreducible(2, lam)
+
+
+def test_spec_is_an_immutable_value():
+    spec = FreeModuleSpec.of_irreducible(2, (2, 1))
+    for field in ("d", "generator"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 3)
+        with pytest.raises(AttributeError):
+            delattr(spec, field)
+    with pytest.raises(AttributeError):
+        spec.colors = 3
+    same = FreeModuleSpec(2, Decomposition(3, {(2, 1): 1}))
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != FreeModuleSpec.of_irreducible(3, (2, 1))
+    assert spec != (2, spec.generator)
+    assert repr(spec) == f"FreeModuleSpec(d=2, generator={spec.generator!r})"
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_spec_refuses_bad_color_count(d):
+    with pytest.raises(ValueError, match="color count"):
+        FreeModuleSpec(d, Decomposition(1, {(1,): 1}))
+
+
+def test_spec_refuses_empty_generator():
+    with pytest.raises(ValueError, match="non-zero"):
+        FreeModuleSpec(2, Decomposition(2, {}))
 
 
 def test_generator_degree_is_read_from_the_generator():

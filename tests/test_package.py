@@ -98,6 +98,23 @@ def test_bench_tracer_installs_on_bare_import():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_no_source_introspection():
+    # `dataclasses` pulls in inspect, ast, dis and tokenize: ~17 ms of every
+    # CLI process.  -S keeps site-packages' own imports out of the check.
+    script = (
+        "import sys, fidmod.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text()
     (tour,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)

@@ -273,6 +273,15 @@ def test_verify_stability_reports():
     assert report.plateaus[0].value == 1
 
 
+def test_reports_are_immutable():
+    report = verify_stability(FreeModuleSpec.regular(2, 0), [((), (1, 1))], range(3))
+    for field in ("spec_description", "plateaus"):
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+    with pytest.raises(AttributeError):
+        report.plateaus[0].value = 0
+
+
 def test_verify_stability_rejects_non_free():
     with pytest.raises(NotFree):
         verify_stability(object(), [], range(3))
