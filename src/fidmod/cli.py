@@ -4,9 +4,9 @@ Subcommands wrap the library one-to-one and print machine-readable tables
 (JSON or TSV), byte-identical on identical invocations.  Each command returns
 its exit code and its answer as text, and `main` alone writes that text, so
 nothing reaches stdout when a command raises.  Exit codes: 0 success, 2 usage
-or parse error (including a generator, core or fit past a MAX_* bound), 3 no
-exact fit, 4 internal invariant breach (including a non-constant stabilization
-tail).
+or parse error (including a generator, core, color count or fit past a MAX_*
+bound), 3 no exact fit, 4 internal invariant breach (including a non-constant
+stabilization tail).
 """
 
 from __future__ import annotations
@@ -61,6 +61,13 @@ MAX_GENERATOR_DEGREE = 10_000
 #: of them determinants): `stabilize` with core [1^8] takes 1.3 s as a process,
 #: [1^12] 3.0 s, [1^16] 4.2 s.  Unbounded, [1^200] under [1] took 1.9 s.
 MAX_CORE_LENGTH = 12
+#: Largest --d for `stabilize` and `fit --mode mult --gen`, whose determinants
+#: have len(core) + d rows with d-dependent binomial entries.  2-CPU host,
+#: --gen "[10000]", --lambda "[]" and d zero pads: `stabilize` takes 0.9-1.1 s
+#: as a process at d = 6, 1.3-1.8 s at d = 7 (M(40)'s scale), 1.8-2.5 s at
+#: d = 8 and 5.1 s at d = 10.  `dim` is a closed form and `decompose` costs
+#: what n does, so neither is bounded here.
+MAX_COLORS = 7
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -92,6 +99,11 @@ def _parse_generator(text: str, d: int) -> FreeModuleSpec:
     if sum(lam) > MAX_GENERATOR_DEGREE:
         raise ValueError(f"generator degree must be <= {MAX_GENERATOR_DEGREE}, got {sum(lam)}")
     return FreeModuleSpec.of_irreducible(d, lam)
+
+
+def _check_colors(d: int) -> None:
+    if d > MAX_COLORS:
+        raise ValueError(f"--d must be <= {MAX_COLORS} for this command, got {d}")
 
 
 def _parse_range(text: str) -> range:
@@ -174,6 +186,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
+    _check_colors(args.d)
     spec = _parse_generator(args.gen, args.d)
     lam = _parse_core(args.lam)
     pads = _parse_pads(args.pads)
@@ -200,6 +213,8 @@ def _check_fit_work(top: int, bases: int, block: int) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
+    if args.mode == "mult" and not args.stdin:
+        _check_colors(args.d)
     spec = None if args.stdin else _parse_generator(args.gen, args.d)
     series = _read_stdin_series() if args.stdin else None
     window = list(_parse_range(args.window)) if args.window is not None else None

@@ -3,8 +3,13 @@
 The multiplicity of lam in the product over a composition a equals the
 number of chains mu = mu(0) <= ... <= mu(h) = lam where step i adds a
 horizontal strip of a_i boxes (at most one box per column).  Chains are
-enumerated directly for full products; targeted multiplicities summed over
-all compositions come from a Jacobi-Trudi determinant.
+counted directly for full products, growing forward: the table for a is the
+memoized table for its prefix a[:-1] extended by one strip of a[-1] boxes,
+so products over compositions that share a prefix share its table.  Strip
+lists are memoized per (partition, boxes), and their partitions are interned,
+so an equal lam in different memo entries is one tuple.  Targeted
+multiplicities summed over all compositions come from a Jacobi-Trudi
+determinant.
 """
 
 from __future__ import annotations
@@ -87,33 +92,47 @@ def add_horizontal_strip(mu: Partition, boxes: int) -> tuple[Partition, ...]:
         raise ValueError("strip size must be non-negative")
     results: list[Partition] = []
     h = len(mu)
+    lam = list(mu)  # rows before `row` hold their new lengths, the rest mu's
 
-    def build(row: int, remaining: int, prefix: Partition) -> None:
+    def build(row: int, remaining: int) -> None:
         if not remaining:
-            results.append(prefix + mu[row:])
+            results.append(tuple(lam))
         elif row == h:
-            results.append(prefix + (remaining,))
+            results.append((*lam, remaining))
         else:
             # One box per column: row r >= 1 takes at most mu_{r-1} - mu_r
             # boxes, so the rows below row r take at most mu_r between them.
             high = remaining if row == 0 else min(remaining, mu[row - 1] - mu[row])
             for extra in range(high, max(remaining - mu[row], 0) - 1, -1):
-                build(row + 1, remaining - extra, prefix + (mu[row] + extra,))
+                lam[row] = mu[row] + extra
+                build(row + 1, remaining - extra)
+            lam[row] = mu[row]
 
-    build(0, boxes, ())
+    build(0, boxes)
     return tuple(results)
 
 
 @cache
+def _interned(lam: Partition) -> Partition:
+    """The first tuple equal to lam that was passed in (an identity table)."""
+    return lam
+
+
+@cache
+def _strips(mu: Partition, boxes: int) -> tuple[Partition, ...]:
+    """add_horizontal_strip(mu, boxes) with interned partitions."""
+    return tuple(map(_interned, add_horizontal_strip(mu, boxes)))
+
+
+@cache
 def _chain_counts(mu: Partition, a: tuple[int, ...]) -> Mapping[Partition, int]:
-    """Unsorted chain counts from mu over positive strip sizes a (read-only)."""
+    """Unsorted chain counts from mu over positive strip sizes a (read-only):
+    the table of the prefix a[:-1] extended by one strip of a[-1] boxes."""
     if not a:
-        # Keyed by the argument, so this table interns partitions: equal lam
-        # reached along different chains is one tuple in every entry's keys.
         return {mu: 1}
     acc: dict[Partition, int] = {}
-    for nxt in add_horizontal_strip(mu, a[0]):
-        for lam, count in _chain_counts(nxt, a[1:]).items():
+    for prev, count in _chain_counts(mu, a[:-1]).items():
+        for lam in _strips(prev, a[-1]):
             acc[lam] = acc.get(lam, 0) + count
     return acc
 
@@ -190,6 +209,8 @@ def clear_caches() -> None:
 
     for table in (
         _chain_counts,
+        _strips,
+        _interned,
         bounded_chain_count,
         characters.character_value,
         characters._class_sizes,

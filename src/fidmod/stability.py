@@ -11,8 +11,7 @@ coefficients themselves, and validates every window degree in integers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .free_modules import (
     FreeModuleSpec,
@@ -23,6 +22,11 @@ from .free_modules import (
 )
 from .partitions import Partition, compositions, multinomial, pad
 from .pieri import bareiss_eliminate
+
+# `fractions` (which loads `decimal`) is imported inside the functions that
+# build a Fraction, so CLI commands that fit nothing never load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NoExactFit(ValueError):
@@ -51,6 +55,8 @@ class RationalPolynomial(NamedTuple):
 
     @classmethod
     def of(cls, coeffs: Sequence) -> "RationalPolynomial":
+        from fractions import Fraction
+
         return cls(_trim([Fraction(c) for c in coeffs]))
 
     @property
@@ -59,6 +65,8 @@ class RationalPolynomial(NamedTuple):
         return len(self.coeffs) - 1
 
     def evaluate(self, n: int) -> Fraction:
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * n + c
@@ -101,6 +109,8 @@ class ExponentialPolynomial(NamedTuple):
         return len(self.polynomials)
 
     def evaluate(self, n: int) -> Fraction:
+        from fractions import Fraction
+
         return sum(
             (p.evaluate(n) * (i + 1) ** n for i, p in enumerate(self.polynomials)),
             Fraction(0),
@@ -122,6 +132,8 @@ def _fit_exact(
     real zeros than coefficients), so every leading minor is non-zero.
     Negative degrees are rejected because i^n would not be an integer.
     """
+    from fractions import Fraction
+
     window = sorted(window)
     if (window and window[0] < 0) or len(set(window)) != len(window):
         raise ValueError(f"window degrees must be distinct and >= 0, got {window}")

@@ -228,6 +228,49 @@ def test_core_past_length_bound_exit_2_before_any_determinant(capsys, monkeypatc
     assert code == 2 and out == "" and f"<= {cli.MAX_CORE_LENGTH} rows" in err
 
 
+def _color_argv(command: str, d: int) -> tuple[str, ...]:
+    if command == "stabilize":
+        return ("stabilize", "--gen", "[1]", "--lambda", "[1]", "--pads", ",".join(["2"] * d))
+    return ("fit", "--mode", "mult", "--gen", "[1]", "--lambda", "[1]")
+
+
+@pytest.mark.parametrize("command", ["stabilize", "fit-mult"])
+@pytest.mark.parametrize(
+    "d, stubbed, expected",
+    [(cli.MAX_COLORS, False, 0), (cli.MAX_COLORS, True, 4), (cli.MAX_COLORS + 1, True, 2)],
+    ids=["at-bound", "at-bound-stubbed", "past-bound-stubbed"],
+)
+def test_color_count_bound_exit_2_before_any_determinant(
+    capsys, monkeypatch, command, d, stubbed, expected
+):
+    # At the bound the command runs, and reaches the stubbed determinant
+    # (exit 4); past it, exit 2 means the refusal came first.
+    def unreached(*args):
+        raise AssertionError("determinant started")
+
+    if stubbed:
+        monkeypatch.setattr("fidmod.free_modules.bounded_chain_count", unreached)
+    code, out, err = run_cli(capsys, *_color_argv(command, d), "--d", str(d))
+    assert code == expected, err
+    assert bool(out) == (expected == 0)
+    if expected == 2:
+        assert f"--d must be <= {cli.MAX_COLORS}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dim", "--gen", "M(0)", "--range", "0..2"),
+        ("decompose", "--gen", "M(0)", "--n", "2"),
+        ("fit", "--mode", "dims", "--gen", "M(0)", "--degree-bound", "0"),
+    ],
+    ids=["dim", "decompose", "fit-dims"],
+)
+def test_color_count_unbounded_where_no_determinant_grows_with_it(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--d", str(cli.MAX_COLORS + 1))
+    assert code == 0, err
+
+
 def test_fit_dims(capsys):
     code, out, _ = run_cli(capsys, "fit", "--mode", "dims", "--d", "2", "--gen", "M(0)")
     assert code == 0

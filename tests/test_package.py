@@ -100,11 +100,10 @@ def test_bench_tracer_installs_on_bare_import():
 
 def test_cli_import_loads_no_source_introspection():
     # `dataclasses` pulls in inspect, ast, dis and tokenize: ~17 ms of every
-    # CLI process.  -S keeps site-packages' own imports out of the check.
-    script = (
-        "import sys, fidmod.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
-    )
+    # CLI process; `fractions` pulls in `decimal`: ~3 ms, needed by fits only.
+    # -S keeps site-packages' own imports out of the check.
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+    script = f"import sys, fidmod.cli\nprint(sorted({forbidden!r} & set(sys.modules)))\n"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},

@@ -11,6 +11,7 @@ from fidmod import characters
 from fidmod.free_modules import FreeModuleSpec, constituent_multiplicity, decompose_at
 from fidmod.partitions import (
     compositions,
+    conjugate,
     contains,
     dim_irreducible,
     multinomial,
@@ -293,6 +294,53 @@ def test_chain_counts_share_equal_partitions():
         for lam in counts:
             assert seen.setdefault(lam, lam) is lam, lam
     assert set(seen) == set(level.support())
+
+
+def test_pieri_product_matches_chains_cold_and_from_a_memoized_prefix():
+    # Every ordering of every composition of length <= 4, |mu| + |a| <= 8:
+    # once from empty memo tables, once grown from the table that the
+    # product over a[:-1] left behind (which must be read, not rebuilt or
+    # altered).
+    cases = 0
+    for musize in range(9):
+        for mu in partitions_of(musize):
+            for total in range(1, 9 - musize):
+                lams = tuple(partitions_of(musize + total))
+                for length in range(1, 5):
+                    for a in compositions(total, length):
+                        if not all(a):
+                            continue
+                        expected = Decomposition(
+                            musize + total, {lam: chain_multiplicity(mu, a, lam) for lam in lams}
+                        )
+                        clear_caches()
+                        assert pieri_product(mu, a) == expected, (mu, a)
+                        clear_caches()
+                        prefix = pieri_product(mu, a[:-1])
+                        hits = _chain_counts.cache_info().hits
+                        assert pieri_product(mu, a) == expected, (mu, a)
+                        assert _chain_counts.cache_info().hits == hits + 1, (mu, a)
+                        assert pieri_product(mu, a[:-1]) == prefix, (mu, a)
+                        cases += 1
+    assert cases == 634
+
+
+def test_session_walk_keeps_one_chain_table_per_prefix():
+    # decompose_at sums pieri_product over composition classes (partitions of
+    # n - m with at most d parts); growing forward, the memo holds one table
+    # per generator constituent and prefix of a class, shared across levels.
+    clear_caches()
+    spec = FreeModuleSpec.regular(3, 2)
+    for n in range(16, 24):
+        decompose_at(spec, n)
+    prefixes = {
+        rep[:k]
+        for total in range(14, 22)
+        for rep in map(conjugate, partitions_of(total, max_part=3))
+        for k in range(len(rep) + 1)
+    }
+    assert len(prefixes) == 309
+    assert _chain_counts.cache_info().currsize == len(tuple(partitions_of(2))) * len(prefixes) == 618
 
 
 def test_decomposition_validation():
