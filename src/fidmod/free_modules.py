@@ -137,11 +137,12 @@ def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
     """Full irreducible decomposition of level n."""
     if n < spec.m:
         return Decomposition(n, {})
-    acc: Counter[Partition] = Counter()
+    acc: dict[Partition, int] = {}
     for comp, ways in _composition_classes(n - spec.m, spec.d):
         for mu, weight in spec.generator.items():
-            for lam, count in pieri_product(mu, comp).items():
-                acc[lam] += weight * ways * count
+            scale = weight * ways
+            for lam, count in pieri_product(mu, comp).unordered_items():
+                acc[lam] = acc.get(lam, 0) + scale * count
     return Decomposition(n, acc)
 
 

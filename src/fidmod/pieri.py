@@ -5,18 +5,21 @@ number of chains mu = mu(0) <= ... <= mu(h) = lam where step i adds a
 horizontal strip of a_i boxes (at most one box per column).  Chains are
 counted directly for full products, growing forward: the table for a is the
 memoized table for its prefix a[:-1] extended by one strip of a[-1] boxes,
-so products over compositions that share a prefix share its table.  Strip
-lists are memoized per (partition, boxes), and their partitions are interned,
-so an equal lam in different memo entries is one tuple.  Targeted
-multiplicities summed over all compositions come from a Jacobi-Trudi
-determinant.
+so products over compositions that share a prefix share its table.  A table
+is two parallel tuples, partitions and counts.  Strips are built block by
+block of equal rows: only the first row of a block can take boxes, and the
+rest of the strip comes from the memoized strips of the next block's tail,
+so partitions that share a tail share its strips.  Every partition in a memo
+entry is interned, so an equal lam in different entries is one tuple.
+Targeted multiplicities summed over all compositions come from a
+Jacobi-Trudi determinant.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Iterable, Mapping
 from functools import cache
-from typing import Mapping
 
 from .partitions import Partition, contains, dim_irreducible
 
@@ -25,14 +28,18 @@ class Decomposition:
     """A semisimple symmetric-group representation up to isomorphism.
 
     Immutable map from partitions of n to positive big-integer
-    multiplicities; absent partitions have multiplicity 0.
+    multiplicities; absent partitions have multiplicity 0.  Built from a
+    mapping or from (partition, multiplicity) pairs, as dict() is; the
+    ordered views are sorted on first read.
     """
 
     __slots__ = ("n", "_terms", "_items")
 
-    def __init__(self, n: int, terms: Mapping[Partition, int]):
+    def __init__(
+        self, n: int, terms: Mapping[Partition, int] | Iterable[tuple[Partition, int]]
+    ):
         clean: dict[Partition, int] = {}
-        for lam, mult in terms.items():
+        for lam, mult in terms.items() if isinstance(terms, Mapping) else terms:
             if mult == 0:
                 continue
             if mult < 0:
@@ -42,27 +49,34 @@ class Decomposition:
             clean[lam] = mult
         self.n = n
         self._terms = clean
-        self._items = tuple(sorted(clean.items(), reverse=True))
+        self._items: tuple[tuple[Partition, int], ...] | None = None
 
     def multiplicity(self, lam: Partition) -> int:
         return self._terms.get(tuple(lam), 0)
 
     def items(self) -> tuple[tuple[Partition, int], ...]:
         """(partition, multiplicity) pairs in descending lexicographic order."""
+        if self._items is None:
+            self._items = tuple(sorted(self._terms.items(), reverse=True))
         return self._items
 
+    def unordered_items(self) -> ItemsView[Partition, int]:
+        """(partition, multiplicity) pairs in no fixed order, for callers that
+        only sum them; a read-only view that sorts nothing."""
+        return self._terms.items()
+
     def support(self) -> tuple[Partition, ...]:
-        return tuple(lam for lam, _ in self._items)
+        return tuple(lam for lam, _ in self.items())
 
     def total_dimension(self) -> int:
-        return sum(mult * dim_irreducible(lam) for lam, mult in self._items)
+        return sum(mult * dim_irreducible(lam) for lam, mult in self._terms.items())
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "terms": [
                 {"partition": list(lam), "multiplicity": str(mult)}
-                for lam, mult in self._items
+                for lam, mult in self.items()
             ],
         }
 
@@ -78,38 +92,20 @@ class Decomposition:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.n, self._items))
+        return hash((self.n, self.items()))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{lam}: {mult}" for lam, mult in self._items)
+        body = ", ".join(f"{lam}: {mult}" for lam, mult in self.items())
         return f"Decomposition(n={self.n}, {{{body}}})"
 
 
 def add_horizontal_strip(mu: Partition, boxes: int) -> tuple[Partition, ...]:
     """All partitions obtained from mu by adding `boxes` boxes, at most one
-    per column.  Descending lexicographic order; multiplicity-free."""
+    per column.  Descending lexicographic order; multiplicity-free; the
+    partitions are interned and the tuple is memoized (read-only)."""
     if boxes < 0:
         raise ValueError("strip size must be non-negative")
-    results: list[Partition] = []
-    h = len(mu)
-    lam = list(mu)  # rows before `row` hold their new lengths, the rest mu's
-
-    def build(row: int, remaining: int) -> None:
-        if not remaining:
-            results.append(tuple(lam))
-        elif row == h:
-            results.append((*lam, remaining))
-        else:
-            # One box per column: row r >= 1 takes at most mu_{r-1} - mu_r
-            # boxes, so the rows below row r take at most mu_r between them.
-            high = remaining if row == 0 else min(remaining, mu[row - 1] - mu[row])
-            for extra in range(high, max(remaining - mu[row], 0) - 1, -1):
-                lam[row] = mu[row] + extra
-                build(row + 1, remaining - extra)
-            lam[row] = mu[row]
-
-    build(0, boxes)
-    return tuple(results)
+    return _strips(tuple(mu), boxes, boxes)
 
 
 @cache
@@ -119,22 +115,49 @@ def _interned(lam: Partition) -> Partition:
 
 
 @cache
-def _strips(mu: Partition, boxes: int) -> tuple[Partition, ...]:
-    """add_horizontal_strip(mu, boxes) with interned partitions."""
-    return tuple(map(_interned, add_horizontal_strip(mu, boxes)))
+def _strips(rows: Partition, boxes: int, cap: int) -> tuple[Partition, ...]:
+    """Interned partitions obtained from `rows` by adding a horizontal strip
+    of `boxes` boxes, at most `cap` of them in the first row; descending
+    lexicographic order.
+
+    Of the leading block of equal rows only the first row can take boxes
+    (every other row takes at most its gap to the row above, here 0).  The
+    rest of the strip, at most the block's part, comes from the memoized
+    strips of the next block's tail with the gap between the blocks as its
+    cap (a new last row is capped by the part), so the recursion depth is
+    the number of distinct parts, not of rows.  Callers pass a cap of at
+    most `boxes` (a larger one means the same), so the tails of different
+    partitions share memo entries.
+    """
+    if not boxes:
+        return (_interned(rows),)
+    if not rows:
+        return (_interned((boxes,)),) if boxes <= cap else ()
+    part = rows[0]
+    block = rows[: rows.count(part)]
+    tail = rows[len(block) :]
+    gap = part - tail[0] if tail else part
+    out: list[Partition] = []
+    for extra in range(min(boxes, cap), max(boxes - part, 0) - 1, -1):
+        head, rest = (part + extra, *block[1:]), boxes - extra
+        out += [_interned(head + lam) for lam in _strips(tail, rest, min(rest, gap))]
+    return tuple(out)
 
 
 @cache
-def _chain_counts(mu: Partition, a: tuple[int, ...]) -> Mapping[Partition, int]:
-    """Unsorted chain counts from mu over positive strip sizes a (read-only):
-    the table of the prefix a[:-1] extended by one strip of a[-1] boxes."""
+def _chain_counts(
+    mu: Partition, a: tuple[int, ...]
+) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """Chain counts from mu over positive strip sizes a, as parallel tuples
+    (partitions, counts) in no fixed order: the table of the prefix a[:-1]
+    extended by one strip of a[-1] boxes."""
     if not a:
-        return {mu: 1}
-    acc: dict[Partition, int] = {}
-    for prev, count in _chain_counts(mu, a[:-1]).items():
-        for lam in _strips(prev, a[-1]):
+        return (_interned(mu),), (1,)
+    boxes, acc = a[-1], {}
+    for prev, count in zip(*_chain_counts(mu, a[:-1])):
+        for lam in add_horizontal_strip(prev, boxes):
             acc[lam] = acc.get(lam, 0) + count
-    return acc
+    return tuple(acc), tuple(acc.values())
 
 
 def pieri_product(mu: Partition, a: tuple[int, ...]) -> Decomposition:
@@ -145,7 +168,7 @@ def pieri_product(mu: Partition, a: tuple[int, ...]) -> Decomposition:
     if any(x < 0 for x in a):
         raise ValueError(f"composition entries must be non-negative: {a}")
     n = sum(mu) + sum(a)
-    return Decomposition(n, _chain_counts(tuple(mu), tuple(x for x in a if x)))
+    return Decomposition(n, zip(*_chain_counts(tuple(mu), tuple(x for x in a if x))))
 
 
 def bareiss_eliminate(rows: list[list[int]]) -> int:

@@ -96,6 +96,29 @@ def test_decompose_level_past_recursion_limit(capsys, d, gen, n, terms, row_mult
     assert (code, err, len(rows), rows[0]) == (0, "", terms, f"[{n}]\t{row_multiplicity}")
 
 
+def _partition_text(*blocks):
+    """The partition with `count` rows of `size` per (size, count) block, as
+    `--gen` reads it and the TSV output prints it."""
+    return "[" + ",".join(str(size) for size, count in blocks for _ in range(count)) + "]"
+
+
+@pytest.mark.parametrize(
+    "d,n,expected",
+    [
+        ("1", 1201, [((2, 1), (1, 1199), 1), ((1, 1201), 1)]),
+        ("2", 1202, [((3, 1), (1, 1199), 3), ((2, 2), (1, 1198), 1),
+                     ((2, 1), (1, 1200), 4), ((1, 1202), 1)]),
+    ],
+)
+def test_decompose_generator_with_more_rows_than_the_recursion_limit(capsys, d, n, expected):
+    # 1,200 equal rows: strips recurse once per block of equal rows, not per row.
+    gen = _partition_text((1, 1200))
+    argv = ("decompose", "--d", d, "--gen", gen, "--n", str(n), "--format", "tsv")
+    code, out, err = run_cli(capsys, *argv)
+    rows = [f"{_partition_text(*blocks)}\t{mult}" for *blocks, mult in expected]
+    assert (code, err, out.splitlines()[1:]) == (0, "", rows)
+
+
 def test_determinism(capsys):
     args = ("decompose", "--d", "3", "--gen", "M(2)", "--n", "5")
     _, first, _ = run_cli(capsys, *args)

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import random
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,7 @@ from fidmod.pieri import (
     Decomposition,
     _bareiss_determinant,
     _chain_counts,
+    _strips,
     add_horizontal_strip,
     bounded_chain_count,
     clear_caches,
@@ -83,6 +85,26 @@ def test_add_horizontal_strip_matches_brute_force():
                 out = add_horizontal_strip(mu, boxes)
                 assert out == expected, (mu, boxes)
                 assert all(x > y for x, y in zip(out, out[1:]))
+
+
+def test_strips_match_brute_force_for_every_cap():
+    # _strips(rows, boxes, cap) puts at most `cap` boxes in the first row.
+    # Its memo serves tails of many partitions, and every partition it
+    # returns is interned: equal outputs of different calls are one tuple.
+    clear_caches()
+    seen = {}
+    for size in range(8):
+        for rows in partitions_of(size):
+            for boxes in range(8):
+                strips = [
+                    lam for lam in partitions_of(size + boxes) if _is_horizontal_strip(lam, rows)
+                ]
+                for cap in range(boxes + 1):
+                    expected = tuple(lam for lam in strips if sum(lam[:1]) - sum(rows[:1]) <= cap)
+                    out = _strips(rows, boxes, cap)
+                    assert out == expected, (rows, boxes, cap)
+                    for lam in out:
+                        assert seen.setdefault(lam, lam) is lam, (rows, boxes, cap, lam)
 
 
 def test_remove_horizontal_strip_matches_brute_force():
@@ -290,8 +312,9 @@ def test_chain_counts_share_equal_partitions():
     ]
     assert _chain_counts.cache_info().misses == misses  # all read from the memo
     seen = {}
-    for counts in entries:
-        for lam in counts:
+    for lams, counts in entries:
+        assert len(lams) == len(counts)
+        for lam in lams:
             assert seen.setdefault(lam, lam) is lam, lam
     assert set(seen) == set(level.support())
 
@@ -350,6 +373,22 @@ def test_decomposition_validation():
         Decomposition(3, {(2, 2): 1})
     dec = Decomposition(3, {(2, 1): 2, (3,): 0})
     assert dec.multiplicity((3,)) == 0 and len(dec) == 1
+
+
+def test_decomposition_from_pairs_matches_mapping():
+    terms = {(4,): 1, (3, 1): 3, (2, 2): 2, (2, 1, 1): 3}
+    by_mapping = Decomposition(4, terms)
+    pairs = [*terms.items(), ((1, 1, 1, 1), 0)]
+    for seed in range(5):
+        random.Random(seed).shuffle(pairs)
+        by_pairs = Decomposition(4, iter(pairs))
+        assert sorted(by_pairs.unordered_items()) == sorted(terms.items())
+        assert by_pairs == by_mapping and hash(by_pairs) == hash(by_mapping)
+        for view in ("items", "support", "to_json_dict", "__repr__"):
+            assert getattr(by_pairs, view)() == getattr(by_mapping, view)(), view
+    for bad in ([((2, 1), 1), ((2, 1, 1), -1)], [((3,), 1), ((2, 2), 1)]):
+        with pytest.raises(ValueError):
+            Decomposition(3, iter(bad))
 
 
 def test_decomposition_canonical_order_and_json():
