@@ -4,9 +4,9 @@ Subcommands wrap the library one-to-one and print machine-readable tables
 (JSON or TSV), byte-identical on identical invocations.  Each command returns
 its exit code and its answer as text, and `main` alone writes that text, so
 nothing reaches stdout when a command raises.  Exit codes: 0 success, 2 usage
-or parse error (including a generator, core, color count or fit past a MAX_*
-bound), 3 no exact fit, 4 internal invariant breach (including a non-constant
-stabilization tail).
+or parse error (including a generator, determinant or fit past a MAX_* bound,
+refused before the work it bounds), 3 no exact fit, 4 internal invariant
+breach (including a non-constant stabilization tail).
 """
 
 from __future__ import annotations
@@ -55,19 +55,16 @@ MAX_FIT_WORK = 10**14
 #: takes 0.31 s.
 MAX_REGULAR_DEGREE = 40
 MAX_GENERATOR_DEGREE = 10_000
-#: Most rows in a --lambda core.  Every shift or series degree is a Jacobi-Trudi
-#: determinant with len(core) + d rows.  2-CPU host, d = 2, --gen "[10000]" and the
-#: shortest pads (the most shifts the generator bound allows: ~20,000, about half
-#: of them determinants): `stabilize` with core [1^8] takes 1.3 s as a process,
-#: [1^12] 3.0 s, [1^16] 4.2 s.  Unbounded, [1^200] under [1] took 1.9 s.
-MAX_CORE_LENGTH = 12
-#: Largest --d for `stabilize` and `fit --mode mult --gen`, whose determinants
-#: have len(core) + d rows with d-dependent binomial entries.  2-CPU host,
-#: --gen "[10000]", --lambda "[]" and d zero pads: `stabilize` takes 0.9-1.1 s
-#: as a process at d = 6, 1.3-1.8 s at d = 7 (M(40)'s scale), 1.8-2.5 s at
-#: d = 8 and 5.1 s at d = 10.  `dim` is a closed form and `decompose` costs
-#: what n does, so neither is bounded here.
+#: Largest --d, and most rows len(core) + d, of the Jacobi-Trudi determinants that
+#: `stabilize` and `fit --mode mult --gen` build, one per shift or series degree,
+#: with binomial entries that grow with d.  2-CPU host, --gen "[10000]" and the
+#: shortest pads (~20,000 shifts, about half of them determinants): `stabilize`
+#: takes 1.3-1.8 s as a process with --lambda "[]" at d = 7 (M(40)'s scale) and
+#: 5.1 s at d = 10; 3.0 s with [1^12] at d = 2 (14 rows), 5.4 s with [1^7] at
+#: d = 7, and 12.7 s with [1^12] at d = 7 (19 rows).  `dim` is a closed form and
+#: `decompose` costs what n does, so neither is bounded here.
 MAX_COLORS = 7
+MAX_DETERMINANT_ROWS = 14
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -78,13 +75,6 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     if not body:
         return ()
     return new_partition(int(tok) for tok in body.split(","))
-
-
-def _parse_core(text: str) -> tuple[int, ...]:
-    core = _parse_partition(text)
-    if len(core) > MAX_CORE_LENGTH:
-        raise ValueError(f"--lambda core must have <= {MAX_CORE_LENGTH} rows, got {len(core)}")
-    return core
 
 
 def _parse_generator(text: str, d: int) -> FreeModuleSpec:
@@ -101,9 +91,14 @@ def _parse_generator(text: str, d: int) -> FreeModuleSpec:
     return FreeModuleSpec.of_irreducible(d, lam)
 
 
-def _check_colors(d: int) -> None:
+def _check_determinants(core: tuple[int, ...], d: int) -> None:
+    """Refuse determinants of len(core) + d rows past MAX_COLORS or MAX_DETERMINANT_ROWS."""
     if d > MAX_COLORS:
         raise ValueError(f"--d must be <= {MAX_COLORS} for this command, got {d}")
+    if len(core) + d > MAX_DETERMINANT_ROWS:
+        raise ValueError(
+            f"--lambda rows + --d must be <= {MAX_DETERMINANT_ROWS}, got {len(core)} + {d}"
+        )
 
 
 def _parse_range(text: str) -> range:
@@ -186,9 +181,9 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
-    _check_colors(args.d)
+    lam = _parse_partition(args.lam)
+    _check_determinants(lam, args.d)
     spec = _parse_generator(args.gen, args.d)
-    lam = _parse_core(args.lam)
     pads = _parse_pads(args.pads)
     value, onset = stabilized_padded_multiplicity(spec, lam, pads)
     payload = {
@@ -213,25 +208,36 @@ def _check_fit_work(top: int, bases: int, block: int) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
-    if args.mode == "mult" and not args.stdin:
-        _check_colors(args.d)
-    spec = None if args.stdin else _parse_generator(args.gen, args.d)
-    series = _read_stdin_series() if args.stdin else None
-    window = list(_parse_range(args.window)) if args.window is not None else None
+    dims = args.mode == "dims"
+    if dims and args.lam is not None:
+        raise ValueError("--lambda applies to --mode mult only")
+    lam = () if args.lam is None else _parse_partition(args.lam)
+    if args.stdin:
+        spec, series = None, _read_stdin_series()
+    else:
+        if not dims:
+            _check_determinants(lam, args.d)
+        spec, series = _parse_generator(args.gen, args.d), None
+    degree_bound = args.degree_bound
+    if degree_bound is None:
+        if dims and spec is None:
+            raise ValueError("--degree-bound is required with --stdin")
+        degree_bound = spec.m if dims else args.d - 1
+    window = None if args.window is None else list(_parse_range(args.window))
     for degrees in (series, window):
         if degrees and max(degrees) > MAX_FIT_DEGREE:
             raise ValueError(f"fit degrees must be <= {MAX_FIT_DEGREE}, got {max(degrees)}")
-    if args.mode == "dims":
-        if args.lam is not None:
-            raise ValueError("--lambda applies to --mode mult only")
-        if args.degree_bound is None and spec is None:
-            raise ValueError("--degree-bound is required with --stdin")
-        degree_bound = spec.m if args.degree_bound is None else args.degree_bound
+    if window is None:
+        if spec is None:
+            window = sorted(series)
+        elif dims:
+            window = default_dims_window(spec, degree_bound)
+        else:
+            window = default_multiplicity_window(spec, lam, degree_bound)
+    _check_fit_work(max(window, default=0), args.d if dims else 1, degree_bound + 1)
+    if dims:
         if series is None:
-            window = window or default_dims_window(spec, degree_bound)
             series = {n: dim_at(spec, n) for n in window}
-        window = window or sorted(series)
-        _check_fit_work(max(window, default=0), args.d, degree_bound + 1)
         fit = fit_exponential_polynomial(series, args.d, degree_bound, window)
         rows = [(f"p{i}", p) for i, p in enumerate(fit.polynomials, start=1)]
         payload = {
@@ -239,13 +245,8 @@ def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
             "polynomials": [p.coefficient_strings() for p in fit.polynomials],
         }
     else:
-        lam = () if args.lam is None else _parse_core(args.lam)
-        degree_bound = args.degree_bound if args.degree_bound is not None else args.d - 1
         if series is None:
-            window = window or default_multiplicity_window(spec, lam, degree_bound)
             series = multiplicity_series(spec, lam, window)
-        window = window or sorted(series)
-        _check_fit_work(max(window, default=0), 1, degree_bound + 1)
         fit = fit_polynomial(series, degree_bound, window)
         rows = [("degree", fit.degree), ("polynomial", fit)]
         payload = {

@@ -98,24 +98,12 @@ class FreeModuleSpec:
         lam = tuple(lam)
         return cls(d, Decomposition(sum(lam), {lam: 1}))
 
-    def generator_dimension(self) -> int:
-        return self.generator.total_dimension()
-
-    def describe(self) -> str:
-        if self == FreeModuleSpec.regular(self.d, self.m):
-            return f"M({self.m})"
-        parts = " + ".join(
-            (f"{mult}*" if mult > 1 else "") + f"S{list(lam)}"
-            for lam, mult in self.generator.items()
-        )
-        return f"M({parts})"
-
 
 def dim_at(spec: FreeModuleSpec, n: int) -> int:
     """Dimension of level n: dim(W) * C(n, m) * d^(n-m); 0 below degree m."""
     if n < spec.m:
         return 0
-    return spec.generator_dimension() * math.comb(n, spec.m) * spec.d ** (n - spec.m)
+    return spec.generator.total_dimension() * math.comb(n, spec.m) * spec.d ** (n - spec.m)
 
 
 def _composition_classes(total: int, length: int) -> list[tuple[tuple[int, ...], int]]:

@@ -30,10 +30,10 @@ class Decomposition:
     Immutable map from partitions of n to positive big-integer
     multiplicities; absent partitions have multiplicity 0.  Built from a
     mapping or from (partition, multiplicity) pairs, as dict() is; the
-    ordered views are sorted on first read.
+    ordered views are sorted, and the total dimension summed, on first read.
     """
 
-    __slots__ = ("n", "_terms", "_items")
+    __slots__ = ("n", "_terms", "_items", "_dimension")
 
     def __init__(
         self, n: int, terms: Mapping[Partition, int] | Iterable[tuple[Partition, int]]
@@ -50,6 +50,7 @@ class Decomposition:
         self.n = n
         self._terms = clean
         self._items: tuple[tuple[Partition, int], ...] | None = None
+        self._dimension: int | None = None
 
     def multiplicity(self, lam: Partition) -> int:
         return self._terms.get(tuple(lam), 0)
@@ -69,7 +70,9 @@ class Decomposition:
         return tuple(lam for lam, _ in self.items())
 
     def total_dimension(self) -> int:
-        return sum(mult * dim_irreducible(lam) for lam, mult in self._terms.items())
+        if self._dimension is None:
+            self._dimension = sum(mult * dim_irreducible(lam) for lam, mult in self._terms.items())
+        return self._dimension
 
     def to_json_dict(self) -> dict:
         return {

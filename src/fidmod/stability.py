@@ -256,7 +256,7 @@ class StabilityReport(NamedTuple):
     """Verdicts for injectivity and generation on a free module, and its
     measured plateaus, over explicitly listed degrees and probes only."""
 
-    spec_description: str
+    spec: FreeModuleSpec
     injectivity: InjectivityReport
     generation: GenerationReport
     plateaus: tuple[PlateauReport, ...]
@@ -289,7 +289,7 @@ def verify_stability(
 
     gen_degrees = tuple(n for n in degs if n >= spec.m)
     accounted = True
-    gen_dim = spec.generator_dimension()
+    gen_dim = spec.generator.total_dimension()
     for n in gen_degrees:
         total = 0
         for a in compositions(n + 1 - spec.m, spec.d):
@@ -304,4 +304,4 @@ def verify_stability(
         pads = tuple(int(p) for p in base_pads)
         value, onset = stabilized_padded_multiplicity(spec, lam, pads)
         plateaus.append(PlateauReport(lam, pads, value, onset, guarantee_shift(spec, pads)))
-    return StabilityReport(spec.describe(), injectivity, generation, tuple(plateaus))
+    return StabilityReport(spec, injectivity, generation, tuple(plateaus))

@@ -87,13 +87,13 @@ def test_c03_dimension_conservation():
     for d in (1, 2, 3):
         for m in range(4):
             for spec in _spec_family(d, m):
-                dim_w = spec.generator_dimension()
+                dim_w = spec.generator.total_dimension()
                 for n in range(10):
                     expected = (
                         dim_w * math.comb(n, m) * d ** (n - m) if n >= m else 0
                     )
                     if decompose_at(spec, n).total_dimension() != expected:
-                        failures.append((d, spec.describe(), n))
+                        failures.append((d, spec, n))
     _verdict(
         "criterion 03 dimension conservation",
         not failures,
@@ -256,10 +256,10 @@ def test_c08_multiplicity_polynomials():
                     try:
                         poly = fit_polynomial(series, degree_bound, window)
                     except NoExactFit as exc:
-                        failures.append((d, spec.describe(), lam, str(exc)))
+                        failures.append((d, spec, lam, str(exc)))
                         continue
                     if poly.degree > d - 1:
-                        failures.append((d, spec.describe(), lam, poly))
+                        failures.append((d, spec, lam, poly))
     m0 = FreeModuleSpec.regular(2, 0)
     for lam, expect in [((), (Fraction(1), Fraction(1))), ((1,), (Fraction(-1), Fraction(1)))]:
         window = default_multiplicity_window(m0, lam, 1)

@@ -50,6 +50,11 @@ def test_trivial_and_sign_characters():
         assert character_value((1, 1, 1, 1), rho) == (-1) ** (4 - len(rho))
 
 
+def test_character_value_rejects_a_cycle_type_of_another_size():
+    with pytest.raises(ValueError, match="size mismatch"):
+        character_value((2, 1), (2, 2))
+
+
 def test_standard_character_s3():
     assert character_value((2, 1), (1, 1, 1)) == 2
     assert character_value((2, 1), (2, 1)) == 0

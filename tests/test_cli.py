@@ -209,8 +209,8 @@ def _column(rows: int) -> str:
     return "[" + ",".join(["1"] * rows) + "]"
 
 
-CORE_AT_BOUND = _column(cli.MAX_CORE_LENGTH)
-SHORTEST_PAD = str(cli.MAX_CORE_LENGTH + 1)
+CORE_AT_BOUND = _column(cli.MAX_DETERMINANT_ROWS - 2)  # the longest core at d = 2
+SHORTEST_PAD = str(cli.MAX_DETERMINANT_ROWS - 1)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +225,7 @@ def test_core_at_length_bound_runs(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--d", "2", "--lambda", CORE_AT_BOUND)
     assert code == 0, err
     payload = json.loads(out)
-    assert payload["lambda"] == [1] * cli.MAX_CORE_LENGTH
+    assert payload["lambda"] == [1] * (cli.MAX_DETERMINANT_ROWS - 2)
     if argv[0] == "stabilize":
         assert payload["value"] == "1"
 
@@ -235,9 +235,8 @@ def test_core_at_length_bound_runs(capsys, argv):
     [
         ("stabilize", "--gen", "[1]", "--pads", "99,99"),
         ("fit", "--mode", "mult", "--gen", "[1]"),
-        ("fit", "--mode", "mult", "--stdin"),
     ],
-    ids=["stabilize", "fit-mult", "fit-mult-stdin"],
+    ids=["stabilize", "fit-mult"],
 )
 def test_core_past_length_bound_exit_2_before_any_determinant(capsys, monkeypatch, argv):
     def unreached(*args):
@@ -245,10 +244,54 @@ def test_core_past_length_bound_exit_2_before_any_determinant(capsys, monkeypatc
 
     for name in ("stabilized_padded_multiplicity", "multiplicity_series", "fit_polynomial"):
         monkeypatch.setattr(cli, name, unreached)
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"series": {"0": "1"}}'))
-    core = _column(cli.MAX_CORE_LENGTH + 1)
-    code, out, err = run_cli(capsys, *argv, "--d", "2", "--lambda", core)
-    assert code == 2 and out == "" and f"<= {cli.MAX_CORE_LENGTH} rows" in err
+    rows = cli.MAX_DETERMINANT_ROWS - 1
+    code, out, err = run_cli(capsys, *argv, "--d", "2", "--lambda", _column(rows))
+    assert code == 2 and out == "" and f"<= {cli.MAX_DETERMINANT_ROWS}, got {rows} + 2" in err
+
+
+@pytest.mark.parametrize("command", ["stabilize", "fit-mult"])
+@pytest.mark.parametrize(
+    "rows, expected",
+    [(cli.MAX_DETERMINANT_ROWS - cli.MAX_COLORS, 4), (cli.MAX_DETERMINANT_ROWS - 2, 2)],
+    ids=["at-bound", "d2-longest-core"],
+)
+def test_joint_row_count_exit_2_before_any_determinant(
+    capsys, monkeypatch, command, rows, expected
+):
+    # At d = MAX_COLORS the longest core d = 2 admits passes MAX_DETERMINANT_ROWS.
+    # At the bound the stubbed determinant is reached (exit 4); past it, exit 2
+    # means the refusal came first.
+    def unreached(*args):
+        raise AssertionError("determinant started")
+
+    monkeypatch.setattr("fidmod.free_modules.bounded_chain_count", unreached)
+    d = cli.MAX_COLORS
+    argv = ("--d", str(d), "--gen", "[10000]", "--lambda", _column(rows))
+    if command == "stabilize":
+        argv = ("stabilize", *argv, "--pads", ",".join(["0"] * d))
+    else:
+        argv = ("fit", "--mode", "mult", *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected and out == "", err
+    if expected == 2:
+        assert f"<= {cli.MAX_DETERMINANT_ROWS}, got {rows} + {d}" in err
+
+
+def test_fit_mult_stdin_parses_its_core_but_builds_no_determinant(capsys, monkeypatch):
+    core = _column(cli.MAX_DETERMINANT_ROWS)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_series_payload(range(8))))
+    code, out, err = run_cli(
+        capsys, "fit", "--mode", "mult", "--d", "2", "--stdin", "--lambda", core
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["lambda"] == [1] * cli.MAX_DETERMINANT_ROWS
+    assert payload["coefficients"] == ["1"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_series_payload(range(8))))
+    code, out, err = run_cli(
+        capsys, "fit", "--mode", "mult", "--d", "2", "--stdin", "--lambda", "[garbage"
+    )
+    assert code == 2 and out == ""
 
 
 def _color_argv(command: str, d: int) -> tuple[str, ...]:
@@ -613,6 +656,36 @@ def test_fit_window_above_bound_exit_2(capsys):
         capsys, "fit", "--mode", "mult", "--d", "2", "--gen", "M(0)", "--window", window
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("gen", ["M(40)", "[3000]"])
+def test_generator_fit_refused_before_any_series_term(capsys, monkeypatch, gen):
+    # Both default windows pass MAX_FIT_WORK; computing their series took
+    # 64 s (M(40)) and 93 s ([3000]) when the work check came after it.
+    def unreached(*args):
+        raise AssertionError("series started")
+
+    monkeypatch.setattr(cli, "dim_at", unreached)
+    monkeypatch.setattr(cli, "multiplicity_series", unreached)
+    code, out, err = run_cli(capsys, "fit", "--mode", "dims", "--d", "2", "--gen", gen)
+    assert code == 2 and out == "" and "too large" in err
+
+
+def test_default_window_is_admitted_by_the_work_check_alone(capsys):
+    # The default window of [10000] ends past MAX_FIT_DEGREE; the same degrees
+    # given as --window are refused.
+    argv = ("fit", "--mode", "mult", "--d", "2", "--gen", "[10000]", "--lambda", "[]")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["coefficients"] == ["-9999", "1"]
+    code, out, err = run_cli(capsys, *argv, "--window", "10004..10009")
+    assert code == 2 and out == "" and str(MAX_FIT_DEGREE) in err
+
+
+def test_fit_dims_stdin_needs_degree_bound(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_series_payload(range(8))))
+    code, out, err = run_cli(capsys, "fit", "--mode", "dims", "--d", "2", "--stdin")
+    assert code == 2 and out == "" and "--degree-bound is required" in err
 
 
 def test_negative_pads_exit_2(capsys):

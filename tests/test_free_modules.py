@@ -22,6 +22,7 @@ from fidmod.partitions import (
     UnsortedPads,
     compositions,
     contains,
+    dim_irreducible,
     pad,
     partitions_of,
 )
@@ -78,12 +79,19 @@ def test_generator_degree_is_read_from_the_generator():
         assert FreeModuleSpec(2, gen).m == gen.n
 
 
-def test_describe():
-    assert FreeModuleSpec.regular(2, 0).describe() == "M(0)"
-    assert FreeModuleSpec.regular(3, 2).describe() == "M(2)"
-    assert FreeModuleSpec.of_irreducible(2, (2, 1)).describe() == "M(S[2, 1])"
-    # the regular generator of S_1 is the single irreducible
-    assert FreeModuleSpec.of_irreducible(2, (1,)).describe() == "M(1)"
+def test_generator_dimension_is_summed_once_per_spec(monkeypatch):
+    # dim_at reads the generator's total dimension on every level; the
+    # Decomposition keeps it after the first read.
+    calls = Counter()
+
+    def counted(lam):
+        calls[lam] += 1
+        return dim_irreducible(lam)
+
+    monkeypatch.setattr("fidmod.pieri.dim_irreducible", counted)
+    spec = FreeModuleSpec(2, Decomposition(3, {(3,): 1, (2, 1): 2}))
+    values = [dim_at(spec, n) for n in range(3, 13)]
+    assert values[0] == 5 and calls == {(3,): 1, (2, 1): 1}
 
 
 def test_hom_count():
@@ -157,7 +165,7 @@ def test_full_levels_match_determinant_kernel():
                     level = decompose_at(spec, n)
                     for lam in partitions_of(n):
                         assert level.multiplicity(lam) == constituent_multiplicity(spec, lam), (
-                            spec.describe(), d, lam,
+                            spec, lam,
                         )
 
 
@@ -287,6 +295,13 @@ def test_stabilized_runs_to_the_structural_bound():
     # on shifts 60..64.
     spec = FreeModuleSpec.of_irreducible(1, (30,))
     assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
+
+
+def test_stabilized_rejects_pads_of_the_wrong_length():
+    spec = FreeModuleSpec.of_irreducible(2, (1,))
+    for pads in [(2,), (2, 2, 2)]:
+        with pytest.raises(ValueError, match="length d = 2"):
+            stabilized_padded_multiplicity(spec, (), pads)
 
 
 def test_stabilized_rejects_unsorted_base():

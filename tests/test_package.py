@@ -14,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import fidmod
+from fidmod import cli
 from fidmod.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -197,3 +198,10 @@ def test_readme_names_only_options_the_parser_has():
         for option in action.option_strings
     }
     assert documented and documented <= defined, documented - defined
+
+
+def test_readme_and_cli_bound_constants_name_each_other():
+    bounds = {name for name in vars(cli) if name.startswith("MAX_")} | {"ORACLE_LIMIT"}
+    documented = set(re.findall(r"`fidmod\.cli\.(\w+)`", (ROOT / "README.md").read_text()))
+    assert bounds <= documented, bounds - documented
+    assert all(hasattr(cli, name) for name in documented), documented - set(vars(cli))

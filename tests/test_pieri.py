@@ -36,6 +36,8 @@ def test_add_horizontal_strip_examples():
     assert set(add_horizontal_strip((2,), 2)) == {(4,), (3, 1), (2, 2)}
     assert add_horizontal_strip((3, 1), 0) == ((3, 1),)
     assert set(add_horizontal_strip((), 3)) == {(3,)}
+    with pytest.raises(ValueError, match="non-negative"):
+        add_horizontal_strip((2, 1), -1)
 
 
 def test_add_horizontal_strip_is_multiplicity_free_and_sorted():
@@ -125,6 +127,8 @@ def test_pieri_product_examples():
     assert pieri_product((), (7,)).items() == (((7,), 1),)
     dec = pieri_product((2,), (1, 0))
     assert dec.multiplicity((3,)) == 1 and dec.multiplicity((2, 1)) == 1 and len(dec) == 2
+    with pytest.raises(ValueError, match="non-negative"):
+        pieri_product((1,), (2, -1))
 
 
 def test_chain_multiplicity_examples():
@@ -373,6 +377,7 @@ def test_decomposition_validation():
         Decomposition(3, {(2, 2): 1})
     dec = Decomposition(3, {(2, 1): 2, (3,): 0})
     assert dec.multiplicity((3,)) == 0 and len(dec) == 1
+    assert dec != {(2, 1): 2} and dec.__eq__({(2, 1): 2}) is NotImplemented
 
 
 def test_decomposition_from_pairs_matches_mapping():

@@ -30,6 +30,7 @@ def test_rational_polynomial_basics():
     q = RationalPolynomial.of([Fraction(-1, 2), 0, Fraction(3, 2)])
     assert q.evaluate(2) == Fraction(11, 2)
     assert str(q) == "3/2*n^2 - 1/2"
+    assert str(RationalPolynomial.of([2, -1, 0, -1])) == "-n^3 - n + 2"
 
 
 def test_fit_exponential_pure_power():
@@ -83,7 +84,7 @@ def _expected_leading_polynomial(spec):
         coeffs = [Fraction(0)] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= t * coeffs[i + 1]
-    scale = Fraction(spec.generator_dimension(), spec.d**spec.m * math.factorial(spec.m))
+    scale = Fraction(spec.generator.total_dimension(), spec.d**spec.m * math.factorial(spec.m))
     return RationalPolynomial.of([c * scale for c in coeffs])
 
 
@@ -253,7 +254,7 @@ def test_verify_stability_reports():
     m0 = FreeModuleSpec.regular(2, 0)
     report = verify_stability(m0, [((), (1, 1))], range(0, 6))
     assert report.all_hold()
-    assert report.spec_description == "M(0)"
+    assert report.spec is m0
     assert report.injectivity.dimension_witness
     assert report.injectivity.degrees == tuple(range(6))
     assert report.generation.dimensions_accounted
@@ -275,11 +276,22 @@ def test_verify_stability_reports():
 
 def test_reports_are_immutable():
     report = verify_stability(FreeModuleSpec.regular(2, 0), [((), (1, 1))], range(3))
-    for field in ("spec_description", "plateaus"):
+    for field in ("spec", "plateaus"):
         with pytest.raises(AttributeError):
             setattr(report, field, None)
     with pytest.raises(AttributeError):
         report.plateaus[0].value = 0
+
+
+def test_verify_stability_does_not_build_the_regular_generator(monkeypatch):
+    # M(60) has 966,467 constituents; the report only carries the spec it got.
+    def unbuilt(*args):
+        raise AssertionError("regular generator built")
+
+    monkeypatch.setattr(FreeModuleSpec, "regular", unbuilt)
+    spec = FreeModuleSpec.of_irreducible(2, (60,))
+    report = verify_stability(spec, [], [60])
+    assert report.spec is spec and report.all_hold()
 
 
 def test_verify_stability_rejects_non_free():
