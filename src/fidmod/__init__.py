@@ -8,7 +8,7 @@ what the library and CLI run and two statements the acceptance suite
 checks; reference implementations only tests use are in `tests/oracles.py`.
 """
 
-from .partitions import InvalidPartition, PaddedLabel
+from .partitions import InvalidPartition
 from .pieri import Decomposition, pieri_product
 from .characters import decompose, induce_trivial_product
 from .free_modules import (

@@ -19,7 +19,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .partitions import Partition, dim_irreducible, partitions_of
+from .partitions import Partition, composition_parts, dim_irreducible, partitions_of
 from .pieri import Decomposition
 
 CycleType = Partition
@@ -117,8 +117,8 @@ def character_value(lam: Partition, rho: CycleType) -> int:
 
 def induce_trivial_product(mu: Partition, a: Sequence[int]) -> ClassFunction:
     """Character of S^mu x (trivial x ... x trivial) induced from the Young
-    subgroup indexed by mu's size and the composition a.  Zero parts of a
-    contribute trivial group factors and are skipped.
+    subgroup indexed by mu's size and the composition a, checked as
+    pieri_product checks it: zero parts are trivial factors and skipped.
 
     The Frobenius characteristic of an induced product is the product of the
     factors' characteristics (Macdonald I.7).  Each factor of size k enters
@@ -128,7 +128,7 @@ def induce_trivial_product(mu: Partition, a: Sequence[int]) -> ClassFunction:
     z_rho times the coefficient of p_rho, divided by the product of the k!.
     """
     mu = tuple(mu)
-    sizes = [sum(mu)] + [k for k in a if k > 0]
+    sizes = [sum(mu), *composition_parts(a)]
     first = _class_sizes(sizes[0])
     factors = [{s: character_value(mu, s) * size for s, size in first.items()}]
     factors += [_class_sizes(k) for k in sizes[1:]]

@@ -15,7 +15,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .free_modules import (
     FreeModuleSpec,
@@ -43,11 +43,12 @@ EXIT_INTERNAL = 4
 
 #: Largest degree the character oracle sweep is allowed to reach.
 ORACLE_LIMIT = 8
-#: Largest series or window degree `fit` accepts, and the largest elimination
-#: work it starts, estimated as size^5 * bits^2 for size unknowns on entries of
-#: up to `bits` bits (~size^3 Bareiss steps on size * bits-bit entries, quadratic
-#: division).  2-CPU host: d = 4, degree bound 2 at degree 10^4 is 1e14, 0.7 s.
-MAX_FIT_DEGREE = 10_000
+#: Largest degree in a --range, --window or `fit --stdin` series, and the largest
+#: elimination work `fit` starts, estimated as size^5 * bits^2 for size unknowns
+#: on entries of up to `bits` bits (~size^3 Bareiss steps on size * bits-bit
+#: entries, quadratic division).  2-CPU host: `dim --d 2 --range 0..10000` takes
+#: 0.8 s and 62 MB; d = 4, degree bound 2 at degree 10^4 is 1e14, 0.7 s.
+MAX_DEGREE = 10_000
 MAX_FIT_WORK = 10**14
 #: Largest k in --gen "M(k)" and degree of a partition-literal --gen.  2-CPU host:
 #: M(40) (37,338 constituents) builds in 1.0 s, and `stabilize` at d = 2, pads 0,0
@@ -77,18 +78,19 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return new_partition(int(tok) for tok in body.split(","))
 
 
-def _parse_generator(text: str, d: int) -> FreeModuleSpec:
+def _parse_generator(text: str) -> tuple[int, Callable[[int], FreeModuleSpec]]:
+    """(degree m, builder of the spec from d): bounds on m are checked before M(k) is built."""
     text = text.strip()
     match = re.fullmatch(r"M\((\d+)\)", text)
     if match:
         m = int(match.group(1))
         if m > MAX_REGULAR_DEGREE:
             raise ValueError(f"M(k) needs k <= {MAX_REGULAR_DEGREE}, got {m}")
-        return FreeModuleSpec.regular(d, m)
+        return m, lambda d: FreeModuleSpec.regular(d, m)
     lam = _parse_partition(text)
     if sum(lam) > MAX_GENERATOR_DEGREE:
         raise ValueError(f"generator degree must be <= {MAX_GENERATOR_DEGREE}, got {sum(lam)}")
-    return FreeModuleSpec.of_irreducible(d, lam)
+    return sum(lam), lambda d: FreeModuleSpec.of_irreducible(d, lam)
 
 
 def _check_determinants(core: tuple[int, ...], d: int) -> None:
@@ -108,6 +110,8 @@ def _parse_range(text: str) -> range:
     lo, hi = int(match.group(1)), int(match.group(2))
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
+    if hi > MAX_DEGREE:
+        raise ValueError(f"range degrees must be <= {MAX_DEGREE}, got {hi}")
     return range(lo, hi + 1)
 
 
@@ -138,8 +142,9 @@ def _read_stdin_series() -> dict[int, int]:
     values = {int(n): int(v) for n, v in series}
     if len(values) < len(series):
         raise ValueError("series keys must name distinct degrees")
-    if any(n < 0 for n in values):
-        raise ValueError(f"series degrees must be >= 0, got {min(values)}")
+    lo, hi = min(values, default=0), max(values, default=0)
+    if not 0 <= lo <= hi <= MAX_DEGREE:
+        raise ValueError(f"series degrees must be in 0..{MAX_DEGREE}, got {lo}..{hi}")
     return values
 
 
@@ -160,8 +165,10 @@ def positive_int(text: str) -> int:
 
 
 def cmd_dim(args: argparse.Namespace) -> tuple[int, str]:
-    spec = _parse_generator(args.gen, args.d)
-    rows = [("n", "dim")] + [(n, str(dim_at(spec, n))) for n in _parse_range(args.range)]
+    _, build = _parse_generator(args.gen)
+    degrees = _parse_range(args.range)  # refused before M(k) is built
+    spec = build(args.d)
+    rows = [("n", "dim")] + [(n, str(dim_at(spec, n))) for n in degrees]
     payload = {
         "command": "dim",
         "d": args.d,
@@ -172,7 +179,8 @@ def cmd_dim(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
-    payload = decompose_at(_parse_generator(args.gen, args.d), args.n).to_json_dict()
+    _, build = _parse_generator(args.gen)
+    payload = decompose_at(build(args.d), args.n).to_json_dict()
     rows = [("partition", "multiplicity")] + [
         ("[" + ",".join(map(str, t["partition"])) + "]", t["multiplicity"])
         for t in payload["terms"]
@@ -183,7 +191,8 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
     lam = _parse_partition(args.lam)
     _check_determinants(lam, args.d)
-    spec = _parse_generator(args.gen, args.d)
+    _, build = _parse_generator(args.gen)
+    spec = build(args.d)
     pads = _parse_pads(args.pads)
     value, onset = stabilized_padded_multiplicity(spec, lam, pads)
     payload = {
@@ -213,30 +222,32 @@ def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("--lambda applies to --mode mult only")
     lam = () if args.lam is None else _parse_partition(args.lam)
     if args.stdin:
-        spec, series = None, _read_stdin_series()
+        m, series = None, _read_stdin_series()
     else:
         if not dims:
             _check_determinants(lam, args.d)
-        spec, series = _parse_generator(args.gen, args.d), None
+        (m, build), series = _parse_generator(args.gen), None
     degree_bound = args.degree_bound
     if degree_bound is None:
-        if dims and spec is None:
+        if dims and m is None:
             raise ValueError("--degree-bound is required with --stdin")
-        degree_bound = spec.m if dims else args.d - 1
-    window = None if args.window is None else list(_parse_range(args.window))
-    for degrees in (series, window):
-        if degrees and max(degrees) > MAX_FIT_DEGREE:
-            raise ValueError(f"fit degrees must be <= {MAX_FIT_DEGREE}, got {max(degrees)}")
-    if window is None:
-        if spec is None:
-            window = sorted(series)
-        elif dims:
-            window = default_dims_window(spec, degree_bound)
+        degree_bound = m if dims else args.d - 1
+    if args.window is not None:
+        window = list(_parse_range(args.window))
+    elif m is None:
+        window = sorted(series)
+    else:
+        # The default windows read only d and m, so the spec on the column
+        # (1^m) gives them without building M(k).
+        shape = FreeModuleSpec.of_irreducible(args.d, (1,) * m)
+        if dims:
+            window = default_dims_window(shape, degree_bound)
         else:
-            window = default_multiplicity_window(spec, lam, degree_bound)
+            window = default_multiplicity_window(shape, lam, degree_bound)
     _check_fit_work(max(window, default=0), args.d if dims else 1, degree_bound + 1)
     if dims:
         if series is None:
+            spec = build(args.d)
             series = {n: dim_at(spec, n) for n in window}
         fit = fit_exponential_polynomial(series, args.d, degree_bound, window)
         rows = [(f"p{i}", p) for i, p in enumerate(fit.polynomials, start=1)]
@@ -246,7 +257,7 @@ def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
         }
     else:
         if series is None:
-            series = multiplicity_series(spec, lam, window)
+            series = multiplicity_series(build(args.d), lam, window)
         fit = fit_polynomial(series, degree_bound, window)
         rows = [("degree", fit.degree), ("polynomial", fit)]
         payload = {

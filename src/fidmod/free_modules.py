@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .partitions import (
-    PaddedLabel,
     Partition,
-    UnsortedPads,
     conjugate,
     contains,
     dim_irreducible,
@@ -52,7 +51,7 @@ class FreeModuleSpec:
     __slots__ = ("d", "generator")
 
     def __init__(self, d: int, generator: Decomposition):
-        if d < 1:
+        if index(d) < 1:  # a float color count raises TypeError
             raise ValueError(f"color count must be >= 1, got {d}")
         if not generator:
             raise ValueError("generator representation must be non-zero")
@@ -191,17 +190,14 @@ def is_constituent(mu: Partition, lam: Partition, steps: int) -> bool:
     return cur == lam
 
 
-def padded_multiplicity(spec: FreeModuleSpec, label: PaddedLabel) -> int:
-    """Multiplicity of the padded representation named by `label` (which must
-    carry exactly d pads) in its level.  Labels denoting the zero
-    representation (unsorted pads, or shortest pad below |core| + core_1)
-    give 0."""
-    core, pads = tuple(label.core), tuple(label.pads)
+def padded_multiplicity(spec: FreeModuleSpec, core: Partition, pads: Sequence[int]) -> int:
+    """Multiplicity of the padded representation core[pads] in its level.
+    There must be exactly d pads; `pad` checks them as it checks every
+    label's, and a label denoting the zero representation (shortest pad
+    below |core| + core_1) gives 0."""
     if len(pads) != spec.d:
-        raise ValueError(f"label must have exactly {spec.d} pads, got {len(pads)}")
-    if any(pads[i - 1] < pads[i] for i in range(1, len(pads))):
-        return 0
-    padded = pad(core, pads)
+        raise ValueError(f"pads must have length d = {spec.d}, got {len(pads)}")
+    padded = pad(tuple(core), pads)
     return 0 if padded is None else constituent_multiplicity(spec, padded)
 
 
@@ -228,17 +224,11 @@ def stabilized_padded_multiplicity(
     2m + 5 of them; a non-constant tail past guarantee_shift would falsify
     the stability property and raises NoStabilization.
     """
-    lam = tuple(lam)
-    pads = tuple(int(x) for x in base_pads)
-    if len(pads) != spec.d:
-        raise ValueError(f"base pads must have length d = {spec.d}, got {len(pads)}")
-    if any(pads[i - 1] < pads[i] for i in range(1, len(pads))):
-        raise UnsortedPads(f"base pads must be weakly decreasing, got {pads}")
+    lam, pads = tuple(lam), tuple(base_pads)
+    values = [padded_multiplicity(spec, lam, pads)]  # checks the pads before they are read
     guarantee = guarantee_shift(spec, pads)
-    values = [
-        padded_multiplicity(spec, PaddedLabel(lam, tuple(p + l for p in pads)))
-        for l in range(guarantee + PLATEAU_CONFIRM_SHIFTS + 1)
-    ]
+    for l in range(1, guarantee + PLATEAU_CONFIRM_SHIFTS + 1):
+        values.append(padded_multiplicity(spec, lam, tuple(p + l for p in pads)))
     stable = values[guarantee]
     if any(v != stable for v in values[guarantee:]):
         raise NoStabilization(

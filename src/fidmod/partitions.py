@@ -8,8 +8,8 @@ the empty tuple is the empty partition.  Everything here is pure, exact
 from __future__ import annotations
 
 import math
-from operator import le
-from typing import Iterable, Iterator, NamedTuple
+from operator import index, le, lt
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 
@@ -26,16 +26,10 @@ class UnsortedPads(ValueError):
     """Padding lengths must be weakly decreasing."""
 
 
-class PaddedLabel(NamedTuple):
-    """A core partition together with r row-padding lengths n_1 >= ... >= n_r."""
-
-    core: Partition
-    pads: tuple[int, ...]
-
-
 def new_partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalize a partition given as any integer iterable."""
-    t = tuple(int(p) for p in parts)
+    """Validate and canonicalize a partition given as any integer iterable;
+    a non-integer part raises TypeError (operator.index), not truncated."""
+    t = tuple(map(index, parts))
     for i, p in enumerate(t):
         if p <= 0:
             raise InvalidPartition(f"parts must be positive, got {p} in {t}")
@@ -105,16 +99,14 @@ def count_standard_tableaux(lam: Partition) -> int:
 
 
 def pad(lam: Partition, pads: Iterable[int]) -> Partition | None:
-    """Prefix lam with rows of lengths n_i - |lam|.
-
-    Returns None when the shortest pad is below |lam| + lam_1 (the label
-    then denotes the zero representation).  The first part of the empty
-    partition counts as 0.
-    """
-    p = tuple(int(x) for x in pads)
-    for i in range(1, len(p)):
-        if p[i - 1] < p[i]:
-            raise UnsortedPads(f"pads must be weakly decreasing, got {p}")
+    """The padded label lam[n_1, ..., n_r]: lam prefixed with rows of
+    lengths n_i - |lam|.  The one check of a label's pads: integers (else
+    TypeError, never truncated) and weakly decreasing (else UnsortedPads).
+    None when the shortest pad is below |lam| + lam_1 (the label denotes the
+    zero representation; the first part of the empty partition is 0)."""
+    p = tuple(map(index, pads))
+    if any(map(lt, p, p[1:])):
+        raise UnsortedPads(f"pads must be weakly decreasing, got {p}")
     if not p:
         return lam
     size = sum(lam)
@@ -142,6 +134,15 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     for first in range(total, -1, -1):
         for rest in compositions(total - first, length - 1):
             yield (first,) + rest
+
+
+def composition_parts(a: Iterable[int]) -> tuple[int, ...]:
+    """The non-zero parts of the composition a, in order.  A negative part
+    raises ValueError and a non-integer one TypeError (operator.index)."""
+    parts = tuple(map(index, a))
+    if any(x < 0 for x in parts):
+        raise ValueError(f"composition entries must be non-negative: {parts}")
+    return tuple(x for x in parts if x)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -21,7 +21,7 @@ import math
 from collections.abc import ItemsView, Iterable, Mapping
 from functools import cache
 
-from .partitions import Partition, contains, dim_irreducible
+from .partitions import Partition, composition_parts, contains, dim_irreducible
 
 
 class Decomposition:
@@ -167,11 +167,8 @@ def pieri_product(mu: Partition, a: tuple[int, ...]) -> Decomposition:
     """Decomposition of the induction of (S^mu) x trivial over the Young
     subgroup indexed by a; multiplicities count strip chains.  Zero parts of
     a are dropped before the memo lookup: (4, 0) and (4,) share one entry."""
-    a = tuple(int(x) for x in a)
-    if any(x < 0 for x in a):
-        raise ValueError(f"composition entries must be non-negative: {a}")
-    n = sum(mu) + sum(a)
-    return Decomposition(n, zip(*_chain_counts(tuple(mu), tuple(x for x in a if x))))
+    parts = composition_parts(a)
+    return Decomposition(sum(mu) + sum(parts), zip(*_chain_counts(tuple(mu), parts)))
 
 
 def bareiss_eliminate(rows: list[list[int]]) -> int:

@@ -11,6 +11,7 @@ coefficients themselves, and validates every window degree in integers.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .free_modules import (
@@ -282,7 +283,7 @@ def verify_stability(
     """
     if not isinstance(spec, FreeModuleSpec):
         raise NotFree(f"expected a FreeModuleSpec, got {type(spec).__name__}")
-    degs = tuple(sorted(set(int(n) for n in degrees)))
+    degs = tuple(sorted(set(map(index, degrees))))
 
     dim_witness = all(dim_at(spec, n) <= spec.d * dim_at(spec, n + 1) for n in degs)
     injectivity = InjectivityReport(degs, dim_witness)
@@ -300,8 +301,7 @@ def verify_stability(
 
     plateaus = []
     for lam, base_pads in probes:
-        lam = tuple(lam)
-        pads = tuple(int(p) for p in base_pads)
+        lam, pads = tuple(lam), tuple(base_pads)
         value, onset = stabilized_padded_multiplicity(spec, lam, pads)
         plateaus.append(PlateauReport(lam, pads, value, onset, guarantee_shift(spec, pads)))
     return StabilityReport(spec, injectivity, generation, tuple(plateaus))

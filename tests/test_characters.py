@@ -166,6 +166,15 @@ def test_degree_zero_induction():
     assert decompose(chi).multiplicity(()) == 1
 
 
+@pytest.mark.parametrize("a, error", [((2, -1), ValueError), ((1.5,), TypeError)])
+def test_oracle_refuses_the_compositions_the_product_refuses(a, error):
+    # One rule for both routes: the oracle used to drop a negative part.
+    with pytest.raises(error):
+        pieri_product((1,), a)
+    with pytest.raises(error):
+        induce_trivial_product((1,), a)
+
+
 @pytest.mark.parametrize("msize", range(4))
 def test_induction_matches_pieri_small(msize):
     for mu in partitions_of(msize):

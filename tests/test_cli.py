@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fidmod import cli
 from fidmod.characters import decompose, induce_trivial_product
-from fidmod.cli import MAX_FIT_DEGREE, main
+from fidmod.cli import MAX_DEGREE, main
 from fidmod.partitions import compositions, partitions_of
 from fidmod.pieri import Decomposition
 
@@ -167,7 +167,7 @@ def test_stabilize_non_constant_tail_exit_4(capsys, monkeypatch):
     # A tail that keeps changing past guarantee_shift breaks the stability
     # property of free modules: an invariant breach, not "no exact fit".
     monkeypatch.setattr(
-        "fidmod.free_modules.padded_multiplicity", lambda spec, label: label.pads[0]
+        "fidmod.free_modules.padded_multiplicity", lambda spec, core, pads: pads[0]
     )
     code, out, err = run_cli(
         capsys, "stabilize", "--d", "1", "--gen", "[1]", "--lambda", "[]", "--pads", "0"
@@ -615,11 +615,11 @@ def test_fit_stdin_degree_above_bound_exit_2(capsys, monkeypatch):
         capsys, "fit", "--mode", "dims", "--d", "3", "--degree-bound", "1", "--stdin"
     )
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == "" and str(MAX_FIT_DEGREE) in err
+    assert code == 2 and out == "" and str(MAX_DEGREE) in err
 
 
 def test_fit_stdin_degree_at_bound_fits(capsys, monkeypatch):
-    degrees = range(MAX_FIT_DEGREE - 8, MAX_FIT_DEGREE + 1)
+    degrees = range(MAX_DEGREE - 8, MAX_DEGREE + 1)
     monkeypatch.setattr("sys.stdin", io.StringIO(_series_payload(degrees)))
     code, out, _ = run_cli(
         capsys, "fit", "--mode", "dims", "--d", "3", "--degree-bound", "1", "--stdin"
@@ -631,7 +631,7 @@ def test_fit_stdin_degree_at_bound_fits(capsys, monkeypatch):
 def test_fit_work_above_bound_exit_2_before_elimination(capsys, monkeypatch):
     # d = 8, degree bound 3: 32 unknowns on ~30,000-bit entries, over two
     # minutes of elimination if it were started.
-    degrees = range(MAX_FIT_DEGREE - 40, MAX_FIT_DEGREE + 1)
+    degrees = range(MAX_DEGREE - 40, MAX_DEGREE + 1)
     monkeypatch.setattr("sys.stdin", io.StringIO(_series_payload(degrees)))
     monkeypatch.setattr(cli, "fit_exponential_polynomial", None)  # never reached
     start = time.perf_counter()
@@ -645,13 +645,13 @@ def test_fit_work_above_bound_exit_2_before_elimination(capsys, monkeypatch):
 def test_fit_work_bound_sits_between_the_measured_cases():
     # At degree 10^4, d = 4 with degree bound 2 fits in under a second; d = 8
     # with degree bound 3 ran over two minutes.
-    cli._check_fit_work(MAX_FIT_DEGREE, 4, 3)
+    cli._check_fit_work(MAX_DEGREE, 4, 3)
     with pytest.raises(ValueError, match="too large"):
-        cli._check_fit_work(MAX_FIT_DEGREE, 8, 4)
+        cli._check_fit_work(MAX_DEGREE, 8, 4)
 
 
 def test_fit_window_above_bound_exit_2(capsys):
-    window = f"{MAX_FIT_DEGREE + 1}..{MAX_FIT_DEGREE + 10}"
+    window = f"{MAX_DEGREE + 1}..{MAX_DEGREE + 10}"
     code, out, _ = run_cli(
         capsys, "fit", "--mode", "mult", "--d", "2", "--gen", "M(0)", "--window", window
     )
@@ -671,15 +671,45 @@ def test_generator_fit_refused_before_any_series_term(capsys, monkeypatch, gen):
     assert code == 2 and out == "" and "too large" in err
 
 
+def test_regular_generator_fit_refused_before_it_is_built(capsys, monkeypatch):
+    # The degree bound, the default window and the work check read only d
+    # and k; building M(40) first took a second before the same refusal.
+    def unbuilt(*args):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(cli.FreeModuleSpec, "regular", unbuilt)
+    code, out, err = run_cli(capsys, "fit", "--mode", "dims", "--d", "2", "--gen", "M(40)")
+    assert code == 2 and out == "" and "too large" in err
+
+
+def test_dim_range_above_bound_exit_2_before_any_row(capsys, monkeypatch):
+    # 0..3000000 used to build every row first: 10 s and 1.27 GB.
+    def unreached(*args):
+        raise AssertionError("row computed")
+
+    monkeypatch.setattr(cli, "dim_at", unreached)
+    argv = ("dim", "--d", "2", "--gen", "M(0)", "--range", f"0..{MAX_DEGREE + 1}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and str(MAX_DEGREE) in err
+
+
+def test_dim_range_at_bound_answers(capsys):
+    argv = ("dim", "--d", "2", "--gen", "M(0)", "--range", f"0..{MAX_DEGREE}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rows = out.splitlines()
+    assert len(rows) == MAX_DEGREE + 2 and rows[-1] == f"{MAX_DEGREE}\t{2**MAX_DEGREE}"
+
+
 def test_default_window_is_admitted_by_the_work_check_alone(capsys):
-    # The default window of [10000] ends past MAX_FIT_DEGREE; the same degrees
+    # The default window of [10000] ends past MAX_DEGREE; the same degrees
     # given as --window are refused.
     argv = ("fit", "--mode", "mult", "--d", "2", "--gen", "[10000]", "--lambda", "[]")
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)["coefficients"] == ["-9999", "1"]
     code, out, err = run_cli(capsys, *argv, "--window", "10004..10009")
-    assert code == 2 and out == "" and str(MAX_FIT_DEGREE) in err
+    assert code == 2 and out == "" and str(MAX_DEGREE) in err
 
 
 def test_fit_dims_stdin_needs_degree_bound(capsys, monkeypatch):
@@ -762,7 +792,7 @@ _series_entries = st.dictionaries(
 )
 _bad_entry = st.one_of(
     st.tuples(
-        st.sampled_from(["x", "-1", "1.5", "", "1e2", str(MAX_FIT_DEGREE + 1)]), st.just("1")
+        st.sampled_from(["x", "-1", "1.5", "", "1e2", str(MAX_DEGREE + 1)]), st.just("1")
     ),
     st.tuples(st.just("0"), st.sampled_from([None, 1.5, True, False, [1], {}, "x", "1.5", ""])),
 )

@@ -18,7 +18,6 @@ from fidmod.free_modules import (
 )
 from fidmod.partitions import (
     InvalidPartition,
-    PaddedLabel,
     UnsortedPads,
     compositions,
     contains,
@@ -244,13 +243,14 @@ def test_weight_bound_on_constituents(d, lam):
 
 def test_padded_multiplicity_examples():
     spec = FreeModuleSpec.of_irreducible(2, (1,))
-    assert padded_multiplicity(spec, PaddedLabel((), (2, 2))) == 2
+    assert padded_multiplicity(spec, (), (2, 2)) == 2
     m0 = FreeModuleSpec.regular(2, 0)
     # shortest pad below |core| + core_1: the label names the zero representation
-    assert padded_multiplicity(m0, PaddedLabel((1,), (4, 1))) == 0
-    assert padded_multiplicity(m0, PaddedLabel((), (1, 3))) == 0  # unsorted pads
+    assert padded_multiplicity(m0, (1,), (4, 1)) == 0
+    with pytest.raises(UnsortedPads):  # checked by `pad`, as every label's pads
+        padded_multiplicity(m0, (), (1, 3))
     m0d1 = FreeModuleSpec.regular(1, 0)
-    assert padded_multiplicity(m0d1, PaddedLabel((1,), (9,))) == 0
+    assert padded_multiplicity(m0d1, (1,), (9,)) == 0
 
 
 def test_padded_multiplicity_matches_decompose():
@@ -259,17 +259,16 @@ def test_padded_multiplicity_matches_decompose():
         base = sum(core) + (core[0] if core else 0)
         for n2 in range(base, base + 3):
             for n1 in range(n2, n2 + 3):
-                label = PaddedLabel(core, (n1, n2))
                 level = n1 + n2 - sum(core)
                 shape = pad(core, (n1, n2))
-                mult = padded_multiplicity(spec, label)
+                mult = padded_multiplicity(spec, core, (n1, n2))
                 assert mult == decompose_at(spec, level).multiplicity(shape)
 
 
 def test_padded_multiplicity_wrong_pad_count():
     spec = FreeModuleSpec.regular(2, 0)
     with pytest.raises(ValueError):
-        padded_multiplicity(spec, PaddedLabel((), (3,)))
+        padded_multiplicity(spec, (), (3,))
 
 
 def test_stabilized_examples():
@@ -308,6 +307,18 @@ def test_stabilized_rejects_unsorted_base():
     spec = FreeModuleSpec.regular(2, 0)
     with pytest.raises(UnsortedPads):
         stabilized_padded_multiplicity(spec, (), (1, 2))
+
+
+def test_non_integer_generators_and_pads_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        FreeModuleSpec.of_irreducible(2, (2.5,))
+    with pytest.raises(TypeError):
+        FreeModuleSpec.regular(2.5, 1)  # its level 3 had dimension 18.75
+    spec = FreeModuleSpec.of_irreducible(2, (1,))
+    with pytest.raises(TypeError):
+        stabilized_padded_multiplicity(spec, (), (2.9, 2.9))  # int() gave value 2, onset 0
+    with pytest.raises(TypeError):
+        padded_multiplicity(spec, (), (2.9, 2.9))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

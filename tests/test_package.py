@@ -20,7 +20,7 @@ from fidmod.cli import build_parser, main
 ROOT = Path(__file__).resolve().parents[1]
 
 SUPPORTED = {
-    "Decomposition", "FreeModuleSpec", "PaddedLabel",
+    "Decomposition", "FreeModuleSpec",
     "InsufficientPoints", "InvalidPartition", "NoExactFit", "NoStabilization",
     "constituent_multiplicity", "decompose", "decompose_at",
     "default_dims_window", "default_multiplicity_window", "dim_at",

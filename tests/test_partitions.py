@@ -90,6 +90,13 @@ def test_pad_rejects_unsorted():
         pad((1,), (3, 4))
 
 
+def test_non_integer_parts_and_pads_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        new_partition((2.5,))
+    with pytest.raises(TypeError):
+        pad((1,), (3.7,))  # int() would have padded to (2, 1)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_unpad_then_pad_roundtrip(r):
     # Rows below the first r are the core; pads are the first r rows plus |core|.

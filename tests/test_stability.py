@@ -231,6 +231,16 @@ def test_multiplicity_series_matches_decompose():
             assert series[n] == expected
 
 
+def test_non_integer_degrees_are_refused_not_truncated():
+    spec = FreeModuleSpec.of_irreducible(2, (1,))
+    with pytest.raises(TypeError):
+        multiplicity_series(spec, (1,), [4.5, 5])  # int() gave {4.5: 6, 5: 8}
+    with pytest.raises(TypeError):
+        verify_stability(spec, [], [2.5])
+    with pytest.raises(TypeError):
+        verify_stability(spec, [((), (2.9, 2.9))], [2])
+
+
 def test_padded_dimension():
     assert dim_irreducible(pad((), (3, 3))) == 5
     assert dim_irreducible(pad((), (12,))) == 1
