@@ -4,7 +4,10 @@ A free module is determined by a color count d, a generator degree m and a
 generator representation W (given as an irreducible decomposition of a
 degree-m symmetric-group representation).  Level n of the module decomposes
 as a sum of iterated Pieri products over all length-d compositions of n - m,
-which is what everything here computes, exactly.
+which is what everything here computes, exactly.  Full levels sum the
+products over each composition's prefix into one table per last part and
+add that last strip once; targeted multiplicities are Jacobi-Trudi
+determinants.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .partitions import (
     pad,
     partitions_of,
 )
-from .pieri import Decomposition, bounded_chain_count, pieri_product
+from .pieri import Decomposition, add_horizontal_strip, bounded_chain_count, pieri_product
 
 
 class NotContained(ValueError):
@@ -100,6 +103,7 @@ class FreeModuleSpec:
 
 def dim_at(spec: FreeModuleSpec, n: int) -> int:
     """Dimension of level n: dim(W) * C(n, m) * d^(n-m); 0 below degree m."""
+    n = index(n)  # a float level raises TypeError
     if n < spec.m:
         return 0
     return spec.generator.total_dimension() * math.comb(n, spec.m) * spec.d ** (n - spec.m)
@@ -121,15 +125,29 @@ def _composition_classes(total: int, length: int) -> list[tuple[tuple[int, ...],
 
 
 def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
-    """Full irreducible decomposition of level n."""
+    """Full irreducible decomposition of level n.
+
+    Pieri operators are linear: the memoized product over each class's
+    prefix (its non-zero parts but the last) is scaled into one table per
+    last part b, across classes and generator constituents, and each merged
+    table takes its final strip of b boxes once.
+    """
+    n = index(n)  # a float level raises TypeError
     if n < spec.m:
         return Decomposition(n, {})
-    acc: dict[Partition, int] = {}
+    merged: dict[int, dict[Partition, int]] = {}
     for comp, ways in _composition_classes(n - spec.m, spec.d):
+        rep = tuple(filter(None, comp)) or (0,)  # at n = m, a strip of 0 boxes
+        table = merged.setdefault(rep[-1], {})
         for mu, weight in spec.generator.items():
             scale = weight * ways
-            for lam, count in pieri_product(mu, comp).unordered_items():
-                acc[lam] = acc.get(lam, 0) + scale * count
+            for lam, count in pieri_product(mu, rep[:-1]).unordered_items():
+                table[lam] = table.get(lam, 0) + scale * count
+    acc: dict[Partition, int] = {}
+    for boxes, table in merged.items():
+        for prev, count in table.items():
+            for lam in add_horizontal_strip(prev, boxes):
+                acc[lam] = acc.get(lam, 0) + count
     return Decomposition(n, acc)
 
 

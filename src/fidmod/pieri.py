@@ -5,7 +5,9 @@ number of chains mu = mu(0) <= ... <= mu(h) = lam where step i adds a
 horizontal strip of a_i boxes (at most one box per column).  Chains are
 counted directly for full products, growing forward: the table for a is the
 memoized table for its prefix a[:-1] extended by one strip of a[-1] boxes,
-so products over compositions that share a prefix share its table.  A table
+so products over compositions that share a prefix share its table.  A full
+level reads only such prefix tables: free_modules.decompose_at merges the
+products over its classes' prefixes and adds each last strip once.  A table
 is two parallel tuples, partitions and counts.  Strips are built block by
 block of equal rows: only the first row of a block can take boxes, and the
 rest of the strip comes from the memoized strips of the next block's tail,

@@ -25,7 +25,7 @@ from fidmod.partitions import (
     pad,
     partitions_of,
 )
-from fidmod.pieri import Decomposition, bounded_chain_count
+from fidmod.pieri import Decomposition, bounded_chain_count, pieri_product
 from oracles import partitions_in_box
 
 
@@ -166,6 +166,29 @@ def test_full_levels_match_determinant_kernel():
                         assert level.multiplicity(lam) == constituent_multiplicity(spec, lam), (
                             spec, lam,
                         )
+
+
+def test_decompose_at_matches_the_sum_of_class_products():
+    # decompose_at merges class prefixes and adds one last strip per part;
+    # the direct route sums ways * weight * pieri_product over every
+    # composition class and constituent.  Both must give the same items.
+    cases = 0
+    for d in range(1, 6):
+        specs = {FreeModuleSpec.regular(d, m) for m in range(5)}
+        specs |= {
+            FreeModuleSpec.of_irreducible(d, lam) for m in range(5) for lam in partitions_of(m)
+        }
+        for spec in specs:
+            for n in range(spec.m, (12 if d <= 3 else 9) + 1):
+                acc = Counter()
+                for comp, ways in _composition_classes(n - spec.m, d):
+                    for mu, weight in spec.generator.items():
+                        for lam, count in pieri_product(mu, comp).items():
+                            acc[lam] += ways * weight * count
+                level = decompose_at(spec, n)
+                assert level.items() == Decomposition(n, acc).items(), (spec, n)
+                cases += 1
+    assert cases == 670
 
 
 def test_d1_decompositions_are_multiplicity_free():
@@ -319,6 +342,17 @@ def test_non_integer_generators_and_pads_are_refused_not_truncated():
         stabilized_padded_multiplicity(spec, (), (2.9, 2.9))  # int() gave value 2, onset 0
     with pytest.raises(TypeError):
         padded_multiplicity(spec, (), (2.9, 2.9))
+
+
+@pytest.mark.parametrize("n", [0.5, 2.5, 3.0])
+def test_non_integer_levels_are_refused(n):
+    # 0.5 gave dimension 0 and Decomposition(n=0.5, {}); a float at or
+    # above m failed deep inside math.comb or partitions_of.
+    spec = FreeModuleSpec.regular(2, 1)
+    with pytest.raises(TypeError):
+        dim_at(spec, n)
+    with pytest.raises(TypeError):
+        decompose_at(spec, n)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
