@@ -6,28 +6,25 @@ degree-m symmetric-group representation).  Level n of the module decomposes
 as a sum of iterated Pieri products over all length-d compositions of n - m,
 which is what everything here computes, exactly.  Full levels sum the
 products over each composition's prefix into one table per last part and
-add that last strip once; targeted multiplicities are Jacobi-Trudi
-determinants.
+add that last strip straight into the level's table, without memoizing
+it; targeted multiplicities are Jacobi-Trudi determinants.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from operator import index
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
-    conjugate,
     contains,
     dim_irreducible,
-    multinomial,
     new_partition,
     pad,
     partitions_of,
 )
-from .pieri import Decomposition, add_horizontal_strip, bounded_chain_count, pieri_product
+from .pieri import Decomposition, add_strips, bounded_chain_count, pieri_product
 
 
 class NotContained(ValueError):
@@ -109,45 +106,58 @@ def dim_at(spec: FreeModuleSpec, n: int) -> int:
     return spec.generator.total_dimension() * math.comb(n, spec.m) * spec.d ** (n - spec.m)
 
 
-def _composition_classes(total: int, length: int) -> list[tuple[tuple[int, ...], int]]:
+def _composition_classes(total: int, length: int) -> Iterator[tuple[Partition, int]]:
     """Length-`length` compositions of `total` grouped up to permutation.
 
-    Returns (sorted representative, number of distinct rearrangements); the
-    Pieri product is invariant under permuting the composition, so each class
-    is computed once.  Representatives have at most `length` parts, so they
-    are the conjugates of the partitions with parts at most `length`.
+    Yields (non-zero parts in descending order, number of distinct
+    rearrangements of the zero-padded composition); the Pieri product is
+    invariant under permuting the composition, so each class is computed
+    once.  A class with r parts and runs of equal parts of lengths k_1,
+    k_2, ... has length! / ((length - r)! k_1! k_2! ...) rearrangements.
     """
-    out = []
-    for rep in map(conjugate, partitions_of(total, max_part=length)):
-        zeros = length - len(rep)
-        out.append((rep + (0,) * zeros, multinomial((zeros, *Counter(rep).values()))))
-    return out
+    for parts in _partitions_in_rows(total, length, total):
+        ways = math.perm(length, len(parts))
+        for part in set(parts):
+            ways //= math.factorial(parts.count(part))
+        yield parts, ways
+
+
+def _partitions_in_rows(total: int, rows: int, top: int) -> Iterator[Partition]:
+    """Partitions of total into at most `rows` (>= 1) parts, each at most
+    `top`, in descending lexicographic order.  A first part of at least
+    total / rows leaves a remainder that the other rows can hold, so every
+    branch yields; the recursion is one level per part."""
+    if not total:
+        yield ()
+        return
+    for first in range(min(total, top), -(-total // rows) - 1, -1):
+        for rest in _partitions_in_rows(total - first, rows - 1, first):
+            yield (first, *rest)
 
 
 def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
     """Full irreducible decomposition of level n.
 
-    Pieri operators are linear: the memoized product over each class's
-    prefix (its non-zero parts but the last) is scaled into one table per
-    last part b, across classes and generator constituents, and each merged
-    table takes its final strip of b boxes once.
+    Level m is the generator itself.  Above it, Pieri operators are linear:
+    the memoized product over each class's prefix (its parts but the last)
+    is scaled into one table per last part b, across classes and generator
+    constituents, and add_strips adds each merged table's final strip of b
+    boxes straight into the level, so the level's own partitions are never
+    interned or memoized.
     """
     n = index(n)  # a float level raises TypeError
-    if n < spec.m:
-        return Decomposition(n, {})
+    if n <= spec.m:
+        return spec.generator if n == spec.m else Decomposition(n, {})
     merged: dict[int, dict[Partition, int]] = {}
-    for comp, ways in _composition_classes(n - spec.m, spec.d):
-        rep = tuple(filter(None, comp)) or (0,)  # at n = m, a strip of 0 boxes
-        table = merged.setdefault(rep[-1], {})
+    for parts, ways in _composition_classes(n - spec.m, spec.d):
+        table = merged.setdefault(parts[-1], {})
         for mu, weight in spec.generator.items():
             scale = weight * ways
-            for lam, count in pieri_product(mu, rep[:-1]).unordered_items():
+            for lam, count in pieri_product(mu, parts[:-1]).unordered_items():
                 table[lam] = table.get(lam, 0) + scale * count
     acc: dict[Partition, int] = {}
     for boxes, table in merged.items():
-        for prev, count in table.items():
-            for lam in add_horizontal_strip(prev, boxes):
-                acc[lam] = acc.get(lam, 0) + count
+        add_strips(acc, table.items(), boxes)
     return Decomposition(n, acc)
 
 

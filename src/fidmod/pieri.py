@@ -5,14 +5,17 @@ number of chains mu = mu(0) <= ... <= mu(h) = lam where step i adds a
 horizontal strip of a_i boxes (at most one box per column).  Chains are
 counted directly for full products, growing forward: the table for a is the
 memoized table for its prefix a[:-1] extended by one strip of a[-1] boxes,
-so products over compositions that share a prefix share its table.  A full
-level reads only such prefix tables: free_modules.decompose_at merges the
-products over its classes' prefixes and adds each last strip once.  A table
+so products over compositions that share a prefix share its table.  A table
 is two parallel tuples, partitions and counts.  Strips are built block by
 block of equal rows: only the first row of a block can take boxes, and the
 rest of the strip comes from the memoized strips of the next block's tail,
 so partitions that share a tail share its strips.  Every partition in a memo
-entry is interned, so an equal lam in different entries is one tuple.
+entry is interned, so an equal lam in different entries is one tuple.  A
+full level reads only prefix tables: free_modules.decompose_at merges the
+products over its classes' prefixes, and add_strips adds each last strip
+straight into the level's table.  It splits off the leading block itself
+and reads only the memoized tail strips, so the level's own partitions,
+which no later strip of that level reads, are neither interned nor cached.
 Targeted multiplicities summed over all compositions come from a
 Jacobi-Trudi determinant.
 """
@@ -147,6 +150,33 @@ def _strips(rows: Partition, boxes: int, cap: int) -> tuple[Partition, ...]:
         head, rest = (part + extra, *block[1:]), boxes - extra
         out += [_interned(head + lam) for lam in _strips(tail, rest, min(rest, gap))]
     return tuple(out)
+
+
+def add_strips(
+    acc: dict[Partition, int], pairs: Iterable[tuple[Partition, int]], boxes: int
+) -> None:
+    """For each (rows, count) in pairs, add count into acc at every
+    partition of add_horizontal_strip(rows, boxes).
+
+    The strips themselves are not memoized: the leading block of rows is
+    split off here as in _strips, and only the strips of its tail are read
+    from that memo, so a caller whose (rows, boxes) never recur (the last
+    strip of a level) neither interns nor caches the partitions it adds.
+    """
+    for rows, count in pairs:
+        if not rows:
+            lam = (boxes,) if boxes else ()
+            acc[lam] = acc.get(lam, 0) + count
+            continue
+        part = rows[0]
+        block = rows[: rows.count(part)]
+        tail = rows[len(block) :]
+        gap = part - tail[0] if tail else part
+        for extra in range(boxes, max(boxes - part, 0) - 1, -1):
+            head, rest = (part + extra, *block[1:]), boxes - extra
+            for lam in _strips(tail, rest, min(rest, gap)):
+                lam = head + lam
+                acc[lam] = acc.get(lam, 0) + count
 
 
 @cache

@@ -146,10 +146,13 @@ def test_dimension_conservation_small():
     "total, length", [(0, 1), (0, 3), (1, 1), (2, 5), (5, 1), (6, 2), (7, 3), (8, 4)]
 )
 def test_composition_classes_group_compositions(total, length):
-    classes = _composition_classes(total, length)
+    classes = list(_composition_classes(total, length))
     reps = [rep for rep, _ in classes]
     assert len(set(reps)) == len(reps)
-    grouped = Counter(tuple(sorted(a, reverse=True)) for a in compositions(total, length))
+    assert all(all(rep) for rep in reps)  # the zero padding is not yielded
+    grouped = Counter(
+        tuple(sorted(filter(None, a), reverse=True)) for a in compositions(total, length)
+    )
     assert dict(classes) == grouped
     assert sum(ways for _, ways in classes) == math.comb(total + length - 1, length - 1)
 
@@ -181,9 +184,9 @@ def test_decompose_at_matches_the_sum_of_class_products():
         for spec in specs:
             for n in range(spec.m, (12 if d <= 3 else 9) + 1):
                 acc = Counter()
-                for comp, ways in _composition_classes(n - spec.m, d):
+                for parts, ways in _composition_classes(n - spec.m, d):
                     for mu, weight in spec.generator.items():
-                        for lam, count in pieri_product(mu, comp).items():
+                        for lam, count in pieri_product(mu, parts).items():
                             acc[lam] += ways * weight * count
                 level = decompose_at(spec, n)
                 assert level.items() == Decomposition(n, acc).items(), (spec, n)

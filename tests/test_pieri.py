@@ -22,8 +22,10 @@ from fidmod.pieri import (
     Decomposition,
     _bareiss_determinant,
     _chain_counts,
+    _interned,
     _strips,
     add_horizontal_strip,
+    add_strips,
     bounded_chain_count,
     clear_caches,
     pieri_product,
@@ -107,6 +109,55 @@ def test_strips_match_brute_force_for_every_cap():
                     assert out == expected, (rows, boxes, cap)
                     for lam in out:
                         assert seen.setdefault(lam, lam) is lam, (rows, boxes, cap, lam)
+
+
+def test_add_strips_matches_add_horizontal_strip():
+    # add_strips splits off the leading block itself and reads only the
+    # memoized strips of the tail; every partition of size <= 8 (the empty
+    # one included), 0..6 boxes, a count above 1, into a table that already
+    # holds entries, and one partition with more rows than the recursion
+    # limit.
+    clear_caches()
+    cases = [rows for size in range(9) for rows in partitions_of(size)]
+    cases.append((3,) * 1200 + (1,) * 3)
+    for rows in cases:
+        for boxes in range(7):
+            count = 2 + sum(rows) % 5
+            strips = add_horizontal_strip(rows, boxes)
+            start = {lam: 5 for lam in strips[::2]} | {(99,): 1}
+            expected = dict(start)
+            for lam in strips:
+                expected[lam] = expected.get(lam, 0) + count
+            acc = dict(start)
+            add_strips(acc, [(rows, count)], boxes)
+            assert acc == expected, (rows[:4], len(rows), boxes)
+    # One call over many pairs sums their strips.
+    pairs = [(rows, 2 + i) for i, rows in enumerate(cases)]
+    expected, acc = {}, {}
+    for rows, count in pairs:
+        for lam in add_horizontal_strip(rows, 3):
+            expected[lam] = expected.get(lam, 0) + count
+    add_strips(acc, pairs, 3)
+    assert acc == expected
+
+
+def test_decompose_at_interns_no_partition_of_its_level():
+    # A level's last strips go straight into its table: no memo holds a
+    # partition of size n, so a fresh tuple equal to a level term is
+    # interned as itself.
+    for spec, n in [
+        (FreeModuleSpec.regular(3, 2), 12),
+        (FreeModuleSpec.regular(2, 0), 7),
+        (FreeModuleSpec.of_irreducible(1, (2, 1)), 6),
+        (FreeModuleSpec.of_irreducible(4, (1, 1)), 8),
+    ]:
+        clear_caches()
+        level = decompose_at(spec, n)
+        assert level
+        for lam in level.support():
+            fresh = tuple(list(lam))
+            assert fresh is not lam
+            assert _interned(fresh) is fresh, (spec, n, lam)
 
 
 def test_remove_horizontal_strip_matches_brute_force():
