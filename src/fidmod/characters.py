@@ -19,7 +19,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .partitions import Partition, composition_parts, dim_irreducible, partitions_of
+from .partitions import Partition, composition_parts, dim_irreducible, new_partition, partitions_of
 from .pieri import Decomposition
 
 CycleType = Partition
@@ -127,7 +127,7 @@ def induce_trivial_product(mu: Partition, a: Sequence[int]) -> ClassFunction:
     sums is the concatenation of cycle types; the induced value at rho is
     z_rho times the coefficient of p_rho, divided by the product of the k!.
     """
-    mu = tuple(mu)
+    mu = new_partition(mu)
     sizes = [sum(mu), *composition_parts(a)]
     first = _class_sizes(sizes[0])
     factors = [{s: character_value(mu, s) * size for s, size in first.items()}]

@@ -25,7 +25,7 @@ from .free_modules import (
     stabilized_padded_multiplicity,
 )
 from .characters import decompose, induce_trivial_product
-from .partitions import compositions, new_partition, partitions_of
+from .partitions import checked_count, compositions, new_partition, pad, partitions_of
 from .pieri import Decomposition, pieri_product
 from .stability import (
     NoExactFit,
@@ -116,10 +116,7 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_pads(text: str) -> tuple[int, ...]:
-    pads = tuple(int(tok) for tok in text.strip().split(","))
-    if any(p < 0 for p in pads):
-        raise ValueError(f"pads are row lengths and must be >= 0, got {text!r}")
-    return pads
+    return tuple(int(tok) for tok in text.strip().split(","))
 
 
 def _render(args: argparse.Namespace, payload: dict, rows: Sequence[Sequence]) -> str:
@@ -150,18 +147,12 @@ def _read_stdin_series() -> dict[int, int]:
 
 def non_negative_int(text: str) -> int:
     """argparse type for counts that must be >= 0."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected an integer >= 0, got {value}")
-    return value
+    return checked_count(int(text), "value")
 
 
 def positive_int(text: str) -> int:
     """argparse type for counts that must be >= 1 (the color count --d)."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value}")
-    return value
+    return checked_count(int(text), "value", 1)
 
 
 def cmd_dim(args: argparse.Namespace) -> tuple[int, str]:
@@ -192,8 +183,9 @@ def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
     lam = _parse_partition(args.lam)
     _check_determinants(lam, args.d)
     _, build = _parse_generator(args.gen)
-    spec = build(args.d)
     pads = _parse_pads(args.pads)
+    pad(lam, pads)  # the pads' rules, before the generator is built
+    spec = build(args.d)
     value, onset = stabilized_padded_multiplicity(spec, lam, pads)
     payload = {
         "command": "stabilize",

@@ -7,17 +7,19 @@ as a sum of iterated Pieri products over all length-d compositions of n - m,
 which is what everything here computes, exactly.  Full levels sum the
 products over each composition's prefix into one table per last part and
 add that last strip straight into the level's table, without memoizing
-it; targeted multiplicities are Jacobi-Trudi determinants.
+it; targeted multiplicities are Jacobi-Trudi determinants.  Public
+functions check their arguments once, on entry; their loops call the
+unchecked kernel _multiplicity on labels that `pad` has built.
 """
 
 from __future__ import annotations
 
 import math
-from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
+    checked_count,
     contains,
     dim_irreducible,
     new_partition,
@@ -51,8 +53,7 @@ class FreeModuleSpec:
     __slots__ = ("d", "generator")
 
     def __init__(self, d: int, generator: Decomposition):
-        if index(d) < 1:  # a float color count raises TypeError
-            raise ValueError(f"color count must be >= 1, got {d}")
+        checked_count(d, "color count", 1)
         if not generator:
             raise ValueError("generator representation must be non-zero")
         for lam in generator.support():
@@ -88,7 +89,7 @@ class FreeModuleSpec:
     @classmethod
     def regular(cls, d: int, m: int) -> "FreeModuleSpec":
         """M(m): the free module on the full regular representation."""
-        gen = {lam: dim_irreducible(lam) for lam in partitions_of(m)}
+        gen = {lam: dim_irreducible(lam) for lam in partitions_of(checked_count(m, "m"))}
         return cls(d, Decomposition(m, gen))
 
     @classmethod
@@ -100,7 +101,7 @@ class FreeModuleSpec:
 
 def dim_at(spec: FreeModuleSpec, n: int) -> int:
     """Dimension of level n: dim(W) * C(n, m) * d^(n-m); 0 below degree m."""
-    n = index(n)  # a float level raises TypeError
+    n = checked_count(n, "level")
     if n < spec.m:
         return 0
     return spec.generator.total_dimension() * math.comb(n, spec.m) * spec.d ** (n - spec.m)
@@ -145,7 +146,7 @@ def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
     boxes straight into the level, so the level's own partitions are never
     interned or memoized.
     """
-    n = index(n)  # a float level raises TypeError
+    n = checked_count(n, "level")
     if n <= spec.m:
         return spec.generator if n == spec.m else Decomposition(n, {})
     merged: dict[int, dict[Partition, int]] = {}
@@ -171,13 +172,17 @@ def constituent_multiplicity(spec: FreeModuleSpec, target: Partition) -> int:
     target does not contain are skipped before the memoized call, so the
     memo does not fill with zeros nobody reads back.
     """
-    target = tuple(target)
-    if sum(target) < spec.m:
+    return _multiplicity(spec, new_partition(target))
+
+
+def _multiplicity(spec: FreeModuleSpec, label: Partition | None) -> int:
+    """Unchecked constituent_multiplicity of a label from `pad` (None: 0)."""
+    if label is None or sum(label) < spec.m:
         return 0
     d, total = spec.d, 0
     for mu, weight in spec.generator.items():
-        if contains(target, mu):
-            total += weight * bounded_chain_count(mu, target, d)
+        if contains(label, mu):
+            total += weight * bounded_chain_count(mu, label, d)
     return total
 
 
@@ -225,8 +230,7 @@ def padded_multiplicity(spec: FreeModuleSpec, core: Partition, pads: Sequence[in
     below |core| + core_1) gives 0."""
     if len(pads) != spec.d:
         raise ValueError(f"pads must have length d = {spec.d}, got {len(pads)}")
-    padded = pad(tuple(core), pads)
-    return 0 if padded is None else constituent_multiplicity(spec, padded)
+    return _multiplicity(spec, pad(new_partition(core), pads))
 
 
 class StabilizationResult(NamedTuple):
@@ -250,13 +254,14 @@ def stabilized_padded_multiplicity(
 
     Computes shifts 0..guarantee_shift + PLATEAU_CONFIRM_SHIFTS, at most
     2m + 5 of them; a non-constant tail past guarantee_shift would falsify
-    the stability property and raises NoStabilization.
+    the stability property and raises NoStabilization.  Shift 0 checks lam
+    and the pads (padded_multiplicity); later ones go to the kernel.
     """
     lam, pads = tuple(lam), tuple(base_pads)
-    values = [padded_multiplicity(spec, lam, pads)]  # checks the pads before they are read
+    values = [padded_multiplicity(spec, lam, pads)]
     guarantee = guarantee_shift(spec, pads)
     for l in range(1, guarantee + PLATEAU_CONFIRM_SHIFTS + 1):
-        values.append(padded_multiplicity(spec, lam, tuple(p + l for p in pads)))
+        values.append(_multiplicity(spec, pad(lam, tuple(p + l for p in pads))))
     stable = values[guarantee]
     if any(v != stable for v in values[guarantee:]):
         raise NoStabilization(

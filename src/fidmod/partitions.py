@@ -38,6 +38,15 @@ def new_partition(parts: Iterable[int]) -> Partition:
     return t
 
 
+def checked_count(value: int, what: str, least: int = 0) -> int:
+    """value if it is an integer (else TypeError, never truncated) of at least
+    `least` (else ValueError): a level, degree, degree bound or color count."""
+    value = index(value)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def contains(outer: Partition, inner: Partition) -> bool:
     """True iff the diagram of inner fits inside the diagram of outer."""
     return len(inner) <= len(outer) and all(map(le, inner, outer))
@@ -100,15 +109,18 @@ def count_standard_tableaux(lam: Partition) -> int:
 
 def pad(lam: Partition, pads: Iterable[int]) -> Partition | None:
     """The padded label lam[n_1, ..., n_r]: lam prefixed with rows of
-    lengths n_i - |lam|.  The one check of a label's pads: integers (else
-    TypeError, never truncated) and weakly decreasing (else UnsortedPads).
-    None when the shortest pad is below |lam| + lam_1 (the label denotes the
-    zero representation; the first part of the empty partition is 0)."""
+    lengths n_i - |lam| (lam already a partition).  The one check of a
+    label's pads: integers (else TypeError, never truncated), weakly
+    decreasing (else UnsortedPads) and >= 0 (else ValueError).  None when
+    the shortest pad is below |lam| + lam_1 (the label denotes the zero
+    representation; the first part of the empty partition is 0)."""
     p = tuple(map(index, pads))
     if any(map(lt, p, p[1:])):
         raise UnsortedPads(f"pads must be weakly decreasing, got {p}")
     if not p:
         return lam
+    if p[-1] < 0:  # inline: `pad` runs once per shift and series degree
+        raise ValueError(f"pads must be >= 0, got {p}")
     size = sum(lam)
     first = lam[0] if lam else 0
     if p[-1] < size + first:

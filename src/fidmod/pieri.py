@@ -25,8 +25,9 @@ from __future__ import annotations
 import math
 from collections.abc import ItemsView, Iterable, Mapping
 from functools import cache
+from operator import index
 
-from .partitions import Partition, composition_parts, contains, dim_irreducible
+from .partitions import Partition, composition_parts, contains, dim_irreducible, new_partition
 
 
 class Decomposition:
@@ -185,9 +186,9 @@ def _chain_counts(
 ) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
     """Chain counts from mu over positive strip sizes a, as parallel tuples
     (partitions, counts) in no fixed order: the table of the prefix a[:-1]
-    extended by one strip of a[-1] boxes."""
+    extended by one strip of a[-1] boxes; the base case checks mu."""
     if not a:
-        return (_interned(mu),), (1,)
+        return (_interned(new_partition(mu)),), (1,)
     boxes, acc = a[-1], {}
     for prev, count in zip(*_chain_counts(mu, a[:-1])):
         for lam in add_horizontal_strip(prev, boxes):
@@ -198,9 +199,10 @@ def _chain_counts(
 def pieri_product(mu: Partition, a: tuple[int, ...]) -> Decomposition:
     """Decomposition of the induction of (S^mu) x trivial over the Young
     subgroup indexed by a; multiplicities count strip chains.  Zero parts of
-    a are dropped before the memo lookup: (4, 0) and (4,) share one entry."""
-    parts = composition_parts(a)
-    return Decomposition(sum(mu) + sum(parts), zip(*_chain_counts(tuple(mu), parts)))
+    a are dropped before the memo lookup: (4, 0) and (4,) share one entry.
+    _chain_counts checks each new mu; index refuses a float part on a hit."""
+    mu, parts = tuple(mu), composition_parts(a)
+    return Decomposition(index(sum(mu)) + sum(parts), zip(*_chain_counts(mu, parts)))
 
 
 def bareiss_eliminate(rows: list[list[int]]) -> int:

@@ -6,6 +6,7 @@ polynomials and of exponential polynomials sum_i p_i(n) i^n, go through one
 engine that solves the integer collocation system in the monomial basis
 n^k i^n by fraction-free elimination, so the solution is the monomial
 coefficients themselves, and validates every window degree in integers.
+Partitions, degrees and degree bounds are checked once, on entry.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .free_modules import (
     FreeModuleSpec,
-    constituent_multiplicity,
+    _multiplicity,
     dim_at,
     guarantee_shift,
     stabilized_padded_multiplicity,
 )
-from .partitions import Partition, compositions, multinomial, pad
+from .partitions import Partition, checked_count, compositions, multinomial, new_partition, pad
 from .pieri import bareiss_eliminate
 
 # `fractions` (which loads `decimal`) is imported inside the functions that
@@ -135,7 +136,7 @@ def _fit_exact(
     """
     from fractions import Fraction
 
-    window = sorted(window)
+    window = sorted(map(index, window))
     if (window and window[0] < 0) or len(set(window)) != len(window):
         raise ValueError(f"window degrees must be distinct and >= 0, got {window}")
     for n in window:
@@ -175,6 +176,7 @@ def fit_exponential_polynomial(
 ) -> ExponentialPolynomial:
     """Fit n -> sum p_i(n) i^n exactly on the leading window points and
     validate exactly on every remaining one."""
+    d, degree_bound = checked_count(d, "d", 1), checked_count(degree_bound, "degree bound")
     lead_count = d * (degree_bound + 1)
     if len(window) < lead_count + 3:
         raise InsufficientPoints(
@@ -190,6 +192,7 @@ def fit_polynomial(
 ) -> RationalPolynomial:
     """Interpolate the leading degree_bound + 1 window points and validate
     exactly on every remaining point."""
+    degree_bound = checked_count(degree_bound, "degree bound")
     if len(window) < degree_bound + 5:
         raise InsufficientPoints(
             f"need degree_bound + 5 = {degree_bound + 5} points, got {len(window)}"
@@ -202,19 +205,15 @@ def multiplicity_series(
 ) -> dict[int, int]:
     """c_{lam, n}: multiplicity of the 1-padded family of lam at each level,
     keyed by level; lam = () gives the trivial representation's."""
-    lam = tuple(lam)
-    out: dict[int, int] = {}
-    for n in degrees:
-        padded = pad(lam, (n,))
-        out[n] = 0 if padded is None else constituent_multiplicity(spec, padded)
-    return out
+    lam = new_partition(lam)
+    return {n: _multiplicity(spec, pad(lam, (n,))) for n in degrees}
 
 
 def default_dims_window(spec: FreeModuleSpec, degree_bound: int) -> list[int]:
     """Window for dimension fitting: skips pre-stable degrees, then provides
     the fit block plus five validation degrees."""
-    start = spec.m + spec.d * (degree_bound + 1)
-    return list(range(start, start + spec.d * (degree_bound + 1) + 5))
+    block = spec.d * (checked_count(degree_bound, "degree bound") + 1)
+    return list(range(spec.m + block, spec.m + 2 * block + 5))
 
 
 def default_multiplicity_window(
@@ -223,7 +222,7 @@ def default_multiplicity_window(
     """Window for multiplicity fitting.  The start additionally skips
     |lam| + lam_1 degrees: multiplicities of short padded families settle
     only after the first row of the padded shape dominates."""
-    lam = tuple(lam)
+    lam, degree_bound = new_partition(lam), checked_count(degree_bound, "degree bound")
     first = lam[0] if lam else 0
     start = spec.m + sum(lam) + first + spec.d * (degree_bound + 1)
     return list(range(start, start + degree_bound + 5))
@@ -283,7 +282,7 @@ def verify_stability(
     """
     if not isinstance(spec, FreeModuleSpec):
         raise NotFree(f"expected a FreeModuleSpec, got {type(spec).__name__}")
-    degs = tuple(sorted(set(map(index, degrees))))
+    degs = tuple(sorted({checked_count(n, "degree") for n in degrees}))
 
     dim_witness = all(dim_at(spec, n) <= spec.d * dim_at(spec, n + 1) for n in degs)
     injectivity = InjectivityReport(degs, dim_witness)

@@ -166,9 +166,9 @@ def test_stabilize_runs_to_the_structural_bound(capsys):
 def test_stabilize_non_constant_tail_exit_4(capsys, monkeypatch):
     # A tail that keeps changing past guarantee_shift breaks the stability
     # property of free modules: an invariant breach, not "no exact fit".
-    monkeypatch.setattr(
-        "fidmod.free_modules.padded_multiplicity", lambda spec, core, pads: pads[0]
-    )
+    # Every shift reaches the unchecked kernel, which sees the padded label
+    # (l,) at shift l.
+    monkeypatch.setattr("fidmod.free_modules._multiplicity", lambda spec, label: sum(label))
     code, out, err = run_cli(
         capsys, "stabilize", "--d", "1", "--gen", "[1]", "--lambda", "[]", "--pads", "0"
     )
@@ -203,6 +203,18 @@ def test_generator_above_bound_exit_2_before_build(capsys, monkeypatch, gen, bou
     monkeypatch.setattr(cli.FreeModuleSpec, "of_irreducible", unbuilt)
     code, out, err = run_cli(capsys, "dim", "--d", "2", "--gen", gen, "--range", "0..1")
     assert code == 2 and out == "" and f"<= {bound}," in err
+
+
+def test_negative_pads_exit_2_before_build(capsys, monkeypatch):
+    # `pad` checks the pads (and the core) before M(40) is built.
+    def unbuilt(*args):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(cli.FreeModuleSpec, "regular", unbuilt)
+    code, out, err = run_cli(
+        capsys, "stabilize", "--d", "2", "--gen", "M(40)", "--lambda", "[]", "--pads=-5,-9"
+    )
+    assert code == 2 and out == "" and "pads must be >= 0" in err
 
 
 def _column(rows: int) -> str:
