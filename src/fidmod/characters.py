@@ -189,4 +189,4 @@ def decompose(chi: ClassFunction) -> Decomposition:
             dimension += mult * dim
     if dimension != chi.identity_value():
         raise NotACharacter("multiplicities do not account for the dimension")
-    return Decomposition(n, terms)
+    return Decomposition._of(n, terms)

@@ -1,8 +1,8 @@
 """Free modules over the category of finite sets with d-colored injections.
 
 A free module is determined by a color count d, a generator degree m and a
-generator representation W (given as an irreducible decomposition of a
-degree-m symmetric-group representation).  Level n of the module decomposes
+generator representation W (a Decomposition of degree m, checked where a
+caller built it, or unchecked for M(m)).  Level n of the module decomposes
 as a sum of iterated Pieri products over all length-d compositions of n - m,
 which is what everything here computes, exactly.  Full levels sum the
 products over each composition's prefix into one table per last part and
@@ -54,10 +54,10 @@ class FreeModuleSpec:
 
     def __init__(self, d: int, generator: Decomposition):
         checked_count(d, "color count", 1)
+        if not isinstance(generator, Decomposition):
+            raise TypeError(f"generator must be a Decomposition, not {type(generator).__name__}")
         if not generator:
             raise ValueError("generator representation must be non-zero")
-        for lam in generator.support():
-            new_partition(lam)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "generator", generator)
 
@@ -90,7 +90,7 @@ class FreeModuleSpec:
     def regular(cls, d: int, m: int) -> "FreeModuleSpec":
         """M(m): the free module on the full regular representation."""
         gen = {lam: dim_irreducible(lam) for lam in partitions_of(checked_count(m, "m"))}
-        return cls(d, Decomposition(m, gen))
+        return cls(d, Decomposition._of(m, gen))
 
     @classmethod
     def of_irreducible(cls, d: int, lam: Sequence[int]) -> "FreeModuleSpec":
@@ -148,7 +148,7 @@ def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
     """
     n = checked_count(n, "level")
     if n <= spec.m:
-        return spec.generator if n == spec.m else Decomposition(n, {})
+        return spec.generator if n == spec.m else Decomposition._of(n, {})
     merged: dict[int, dict[Partition, int]] = {}
     for parts, ways in _composition_classes(n - spec.m, spec.d):
         table = merged.setdefault(parts[-1], {})
@@ -159,7 +159,7 @@ def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
     acc: dict[Partition, int] = {}
     for boxes, table in merged.items():
         add_strips(acc, table.items(), boxes)
-    return Decomposition(n, acc)
+    return Decomposition._of(n, acc)
 
 
 def constituent_multiplicity(spec: FreeModuleSpec, target: Partition) -> int:

@@ -16,8 +16,8 @@ products over its classes' prefixes, and add_strips adds each last strip
 straight into the level's table.  It splits off the leading block itself
 and reads only the memoized tail strips, so the level's own partitions,
 which no later strip of that level reads, are neither interned nor cached.
-Targeted multiplicities summed over all compositions come from a
-Jacobi-Trudi determinant.
+Targeted multiplicities summed over all compositions are Jacobi-Trudi
+determinants; a Decomposition is checked where a caller builds one.
 """
 
 from __future__ import annotations
@@ -27,16 +27,20 @@ from collections.abc import ItemsView, Iterable, Mapping
 from functools import cache
 from operator import index
 
-from .partitions import Partition, composition_parts, contains, dim_irreducible, new_partition
+from .partitions import (
+    Partition, checked_count, composition_parts, contains, dim_irreducible, new_partition
+)
 
 
 class Decomposition:
     """A semisimple symmetric-group representation up to isomorphism.
 
     Immutable map from partitions of n to positive big-integer
-    multiplicities; absent partitions have multiplicity 0.  Built from a
-    mapping or from (partition, multiplicity) pairs, as dict() is; the
-    ordered views are sorted, and the total dimension summed, on first read.
+    multiplicities; absent partitions have multiplicity 0.  The constructor
+    reads a mapping or (partition, multiplicity) pairs, as dict() does, and
+    is the one check of n, keys and multiplicities (zeros are dropped); the
+    package wraps its own tables with the unchecked _of.  Ordered views are
+    sorted, and the total dimension summed, on first read.
     """
 
     __slots__ = ("n", "_terms", "_items", "_dimension")
@@ -44,19 +48,22 @@ class Decomposition:
     def __init__(
         self, n: int, terms: Mapping[Partition, int] | Iterable[tuple[Partition, int]]
     ):
+        n = checked_count(n, "degree")
         clean: dict[Partition, int] = {}
         for lam, mult in terms.items() if isinstance(terms, Mapping) else terms:
-            if mult == 0:
-                continue
-            if mult < 0:
-                raise ValueError(f"negative multiplicity {mult} for {lam}")
+            lam, mult = new_partition(lam), checked_count(mult, "multiplicity")
             if sum(lam) != n:
                 raise ValueError(f"partition {lam} does not have size {n}")
-            clean[lam] = mult
-        self.n = n
-        self._terms = clean
-        self._items: tuple[tuple[Partition, int], ...] | None = None
-        self._dimension: int | None = None
+            if mult:
+                clean[lam] = mult
+        self.n, self._terms, self._items, self._dimension = n, clean, None, None
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[Partition, int]) -> "Decomposition":
+        """Unchecked: terms, partitions of n to multiplicities > 0, is kept."""
+        self = cls.__new__(cls)
+        self.n, self._terms, self._items, self._dimension = n, terms, None, None
+        return self
 
     def multiplicity(self, lam: Partition) -> int:
         return self._terms.get(tuple(lam), 0)
@@ -108,15 +115,6 @@ class Decomposition:
         return f"Decomposition(n={self.n}, {{{body}}})"
 
 
-def add_horizontal_strip(mu: Partition, boxes: int) -> tuple[Partition, ...]:
-    """All partitions obtained from mu by adding `boxes` boxes, at most one
-    per column.  Descending lexicographic order; multiplicity-free; the
-    partitions are interned and the tuple is memoized (read-only)."""
-    if boxes < 0:
-        raise ValueError("strip size must be non-negative")
-    return _strips(tuple(mu), boxes, boxes)
-
-
 @cache
 def _interned(lam: Partition) -> Partition:
     """The first tuple equal to lam that was passed in (an identity table)."""
@@ -157,7 +155,7 @@ def add_strips(
     acc: dict[Partition, int], pairs: Iterable[tuple[Partition, int]], boxes: int
 ) -> None:
     """For each (rows, count) in pairs, add count into acc at every
-    partition of add_horizontal_strip(rows, boxes).
+    partition of _strips(rows, boxes, boxes).
 
     The strips themselves are not memoized: the leading block of rows is
     split off here as in _strips, and only the strips of its tail are read
@@ -191,7 +189,7 @@ def _chain_counts(
         return (_interned(new_partition(mu)),), (1,)
     boxes, acc = a[-1], {}
     for prev, count in zip(*_chain_counts(mu, a[:-1])):
-        for lam in add_horizontal_strip(prev, boxes):
+        for lam in _strips(prev, boxes, boxes):
             acc[lam] = acc.get(lam, 0) + count
     return tuple(acc), tuple(acc.values())
 
@@ -202,7 +200,7 @@ def pieri_product(mu: Partition, a: tuple[int, ...]) -> Decomposition:
     a are dropped before the memo lookup: (4, 0) and (4,) share one entry.
     _chain_counts checks each new mu; index refuses a float part on a hit."""
     mu, parts = tuple(mu), composition_parts(a)
-    return Decomposition(index(sum(mu)) + sum(parts), zip(*_chain_counts(mu, parts)))
+    return Decomposition._of(index(sum(mu)) + sum(parts), dict(zip(*_chain_counts(mu, parts))))
 
 
 def bareiss_eliminate(rows: list[list[int]]) -> int:

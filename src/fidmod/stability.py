@@ -17,12 +17,13 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .free_modules import (
     FreeModuleSpec,
+    _composition_classes,
     _multiplicity,
     dim_at,
     guarantee_shift,
     stabilized_padded_multiplicity,
 )
-from .partitions import Partition, checked_count, compositions, multinomial, new_partition, pad
+from .partitions import Partition, checked_count, multinomial, new_partition, pad
 from .pieri import bareiss_eliminate
 
 # `fractions` (which loads `decimal`) is imported inside the functions that
@@ -275,10 +276,10 @@ def verify_stability(
     Injectivity of the joint level maps holds structurally for free modules
     (composition with the d colored inclusions is injective on basis
     morphisms); a dimension inequality is recorded as a numeric witness.
-    Generation is recorded as the color-frequency orbit dimensions
-    accounting for the whole level n + 1.  Plateaus are measured with
-    stabilized_padded_multiplicity on every probe; an onset never exceeds
-    its guarantee shift, because the onset search walks down from it.
+    Generation is recorded as the color-frequency orbit dimensions, one
+    term per class of rearrangements, accounting for the whole level n + 1.
+    Plateaus come from stabilized_padded_multiplicity on every probe; an
+    onset never exceeds its guarantee shift (the search walks down from it).
     """
     if not isinstance(spec, FreeModuleSpec):
         raise NotFree(f"expected a FreeModuleSpec, got {type(spec).__name__}")
@@ -291,10 +292,9 @@ def verify_stability(
     accounted = True
     gen_dim = spec.generator.total_dimension()
     for n in gen_degrees:
-        total = 0
-        for a in compositions(n + 1 - spec.m, spec.d):
-            total += gen_dim * multinomial((spec.m, *a))
-        if total != dim_at(spec, n + 1):
+        classes = _composition_classes(n + 1 - spec.m, spec.d)
+        total = sum(ways * multinomial((spec.m, *parts)) for parts, ways in classes)
+        if gen_dim * total != dim_at(spec, n + 1):
             accounted = False
     generation = GenerationReport(gen_degrees, accounted)
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import fidmod
 from fidmod import (
+    Decomposition,
     FreeModuleSpec,
     InvalidPartition,
     constituent_multiplicity,
+    decompose,
     decompose_at,
     default_dims_window,
     default_multiplicity_window,
@@ -24,6 +26,7 @@ from fidmod import (
     verify_stability,
 )
 from fidmod import free_modules, stability
+from fidmod.pieri import clear_caches
 
 SPEC = FreeModuleSpec.regular(2, 2)
 SERIES = {n: 0 for n in range(40)}
@@ -42,6 +45,7 @@ TAKES_A_PARTITION = {
     "default_multiplicity_window": lambda lam: default_multiplicity_window(SPEC, lam, 1),
     "verify_stability": lambda lam: verify_stability(SPEC, [(lam, (30, 30))], []),
     "FreeModuleSpec.of_irreducible": lambda lam: FreeModuleSpec.of_irreducible(2, lam),
+    "Decomposition": lambda lam: Decomposition(int(sum(lam)), {lam: 1}),
 }
 
 #: Every namespace call that takes a level, degree, degree bound, pad,
@@ -73,6 +77,8 @@ TAKES_A_COUNT = {
     "FreeModuleSpec": lambda n: FreeModuleSpec(n, SPEC.generator),
     "FreeModuleSpec.regular-d": lambda n: FreeModuleSpec.regular(n, 1),
     "FreeModuleSpec.regular-m": lambda n: FreeModuleSpec.regular(2, n),
+    "Decomposition-n": lambda n: Decomposition(n, {}),
+    "Decomposition-multiplicity": lambda n: Decomposition(2, {(2,): 1, (1, 1): n}),
 }
 
 _rows = st.lists(st.integers(1, 6), min_size=1, max_size=4).map(
@@ -106,19 +112,31 @@ def test_every_name_refuses_a_bad_partition_or_count(data):
 
 
 def test_every_namespace_name_that_takes_one_is_covered():
-    # Out of scope: Decomposition's keys, and decompose, which takes a class function.
+    # Out of scope: decompose, which takes a class function.
     takes_one = {
         name for name, value in vars(fidmod).items()
         if callable(value) and not name.startswith("_")
         and not (isinstance(value, type) and issubclass(value, Exception))
-    } - {"Decomposition", "decompose"}
+    } - {"decompose"}
     covered = {name.split("-")[0].split(".")[0] for name in {**TAKES_A_PARTITION, **TAKES_A_COUNT}}
     assert covered == takes_one
 
 
-# Each of these returned a value before the boundary; the float partition
+# Each of these returned a value before the boundary, or failed only by
+# accident (the dict generator, with an AttributeError); the float partition
 # returned one only once the equal integer partition was memoized.
 ACCEPTANCE = {
+    "Decomposition-unsorted-key": (
+        InvalidPartition, lambda: Decomposition(3, {(1, 2): 1})
+    ),
+    "Decomposition-float-multiplicity": (
+        TypeError, lambda: Decomposition(1, {(1,): 1.5})
+    ),
+    "Decomposition-float-n": (TypeError, lambda: Decomposition(2.0, {(2,): 1})),
+    "FreeModuleSpec-float-degree": (
+        TypeError, lambda: FreeModuleSpec(2, Decomposition(2.0, {(2,): 1}))
+    ),
+    "FreeModuleSpec-dict-generator": (TypeError, lambda: FreeModuleSpec(2, {(1,): 1})),
     "pieri_product-unsorted": (InvalidPartition, lambda: pieri_product((1, 2), (1,))),
     "pieri_product-zero-part": (InvalidPartition, lambda: pieri_product((2, 0), (1,))),
     "pieri_product-float-on-memo-hit": (
@@ -179,3 +197,25 @@ def test_loops_reach_the_kernel_without_re_entering_the_api(monkeypatch):
     checks.clear()
     stabilized_padded_multiplicity(spec, (1,), (4, 4))
     assert checks == [(1,)]  # once per stabilization (shift 0), not once per shift
+
+
+def test_package_built_decompositions_skip_the_public_check(monkeypatch):
+    # Every value the package builds goes through the unchecked
+    # Decomposition._of, so each answer survives a constructor that refuses.
+    calls = {
+        "pieri_product": lambda: pieri_product((2, 1), (2, 0, 1)),
+        "decompose_at": lambda: decompose_at(SPEC, 5),
+        "decompose_at-below-m": lambda: decompose_at(SPEC, 1),
+        "decompose": lambda: decompose(induce_trivial_product((2, 1), (2, 1))),
+        "FreeModuleSpec.regular": lambda: FreeModuleSpec.regular(2, 3),
+    }
+    clear_caches()
+    expected = {name: call() for name, call in calls.items()}
+
+    def refused(self, *args):
+        raise AssertionError("public Decomposition check reached")
+
+    monkeypatch.setattr(Decomposition, "__init__", refused)
+    clear_caches()
+    for name, call in calls.items():
+        assert call() == expected[name], name

@@ -24,7 +24,6 @@ from fidmod.pieri import (
     _chain_counts,
     _interned,
     _strips,
-    add_horizontal_strip,
     add_strips,
     bounded_chain_count,
     clear_caches,
@@ -34,19 +33,17 @@ from oracles import chain_multiplicity, remove_horizontal_strip, skew_filling_co
 
 
 def test_add_horizontal_strip_examples():
-    assert set(add_horizontal_strip((1,), 1)) == {(2,), (1, 1)}
-    assert set(add_horizontal_strip((2,), 2)) == {(4,), (3, 1), (2, 2)}
-    assert add_horizontal_strip((3, 1), 0) == ((3, 1),)
-    assert set(add_horizontal_strip((), 3)) == {(3,)}
-    with pytest.raises(ValueError, match="non-negative"):
-        add_horizontal_strip((2, 1), -1)
+    assert set(_strips((1,), 1, 1)) == {(2,), (1, 1)}
+    assert set(_strips((2,), 2, 2)) == {(4,), (3, 1), (2, 2)}
+    assert _strips((3, 1), 0, 0) == ((3, 1),)
+    assert set(_strips((), 3, 3)) == {(3,)}
 
 
 def test_add_horizontal_strip_is_multiplicity_free_and_sorted():
     for musize in range(5):
         for mu in partitions_of(musize):
             for a in range(4):
-                out = add_horizontal_strip(mu, a)
+                out = _strips(mu, a, a)
                 assert len(set(out)) == len(out)
                 assert list(out) == sorted(out, reverse=True)
                 for lam in out:
@@ -63,13 +60,13 @@ def test_remove_is_inverse_of_add():
     for musize in range(5):
         for mu in partitions_of(musize):
             for a in range(4):
-                for lam in add_horizontal_strip(mu, a):
+                for lam in _strips(mu, a, a):
                     assert mu in remove_horizontal_strip(lam, a)
     for lamsize in range(1, 6):
         for lam in partitions_of(lamsize):
             for a in range(lamsize + 1):
                 for mu in remove_horizontal_strip(lam, a):
-                    assert lam in add_horizontal_strip(mu, a)
+                    assert lam in _strips(mu, a, a)
 
 
 def _is_horizontal_strip(lam, mu):
@@ -86,7 +83,7 @@ def test_add_horizontal_strip_matches_brute_force():
                 expected = tuple(
                     lam for lam in partitions_of(musize + boxes) if _is_horizontal_strip(lam, mu)
                 )
-                out = add_horizontal_strip(mu, boxes)
+                out = _strips(mu, boxes, boxes)
                 assert out == expected, (mu, boxes)
                 assert all(x > y for x, y in zip(out, out[1:]))
 
@@ -123,7 +120,7 @@ def test_add_strips_matches_add_horizontal_strip():
     for rows in cases:
         for boxes in range(7):
             count = 2 + sum(rows) % 5
-            strips = add_horizontal_strip(rows, boxes)
+            strips = _strips(rows, boxes, boxes)
             start = {lam: 5 for lam in strips[::2]} | {(99,): 1}
             expected = dict(start)
             for lam in strips:
@@ -135,7 +132,7 @@ def test_add_strips_matches_add_horizontal_strip():
     pairs = [(rows, 2 + i) for i, rows in enumerate(cases)]
     expected, acc = {}, {}
     for rows, count in pairs:
-        for lam in add_horizontal_strip(rows, 3):
+        for lam in _strips(rows, 3, 3):
             expected[lam] = expected.get(lam, 0) + count
     add_strips(acc, pairs, 3)
     assert acc == expected

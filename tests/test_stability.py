@@ -304,6 +304,14 @@ def test_verify_stability_does_not_build_the_regular_generator(monkeypatch):
     assert report.spec is spec and report.all_hold()
 
 
+def test_generation_witness_sums_classes_not_compositions():
+    # 41 boxes in 10 colors: 2.5e9 compositions, but 19,466 classes of
+    # rearrangements, one term each.
+    report = verify_stability(FreeModuleSpec.regular(10, 0), [], [40])
+    assert report.generation.degrees == (40,)
+    assert report.generation.dimensions_accounted
+
+
 def test_verify_stability_rejects_non_free():
     with pytest.raises(NotFree):
         verify_stability(object(), [], range(3))
