@@ -6,7 +6,8 @@ caller built it, or unchecked for M(m)).  Level n of the module decomposes
 as a sum of iterated Pieri products over all length-d compositions of n - m,
 which is what everything here computes, exactly.  Full levels sum the
 products over each composition's prefix into one table per last part and
-add that last strip straight into the level's table, without memoizing
+add that last strip as counts per (leading block, memoized tail strip),
+joined into the level's table once per distinct pair, without memoizing
 it; targeted multiplicities are Jacobi-Trudi determinants.  Public
 functions check their arguments once, on entry; their loops call the
 unchecked kernel _multiplicity on labels that `pad` has built.
@@ -142,23 +143,35 @@ def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
     Level m is the generator itself.  Above it, Pieri operators are linear:
     the memoized product over each class's prefix (its parts but the last)
     is scaled into one table per last part b, across classes and generator
-    constituents, and add_strips adds each merged table's final strip of b
-    boxes straight into the level, so the level's own partitions are never
-    interned or memoized.
+    constituents.  add_strips adds each merged table's final strip of b
+    boxes as counts under (leading block, memoized tail strip), and each
+    distinct pair is joined into one partition of the level, so the level's
+    own partitions are built once per level, never interned or memoized.
     """
     n = checked_count(n, "level")
     if n <= spec.m:
         return spec.generator if n == spec.m else Decomposition._of(n, {})
     merged: dict[int, dict[Partition, int]] = {}
+    constituents = spec.generator.items()
     for parts, ways in _composition_classes(n - spec.m, spec.d):
-        table = merged.setdefault(parts[-1], {})
-        for mu, weight in spec.generator.items():
+        table, prefix = merged.setdefault(parts[-1], {}), parts[:-1]
+        get = table.get
+        for mu, weight in constituents:
             scale = weight * ways
-            for lam, count in pieri_product(mu, parts[:-1]).unordered_items():
-                table[lam] = table.get(lam, 0) + scale * count
+            for lam, count in pieri_product(mu, prefix).unordered_items():
+                table[lam] = get(lam, 0) + scale * count
+    # Each table is dropped once read, so the prefix tables, the heads and
+    # the level are never all held whole at once.
+    heads: dict[Partition, dict[Partition, int]] = {}
+    while merged:
+        boxes, table = merged.popitem()
+        add_strips(heads, table.items(), boxes)
     acc: dict[Partition, int] = {}
-    for boxes, table in merged.items():
-        add_strips(acc, table.items(), boxes)
+    while heads:
+        head, tails = heads.popitem()
+        for tail, count in tails.items():
+            lam = head + tail
+            acc[lam] = acc.get(lam, 0) + count
     return Decomposition._of(n, acc)
 
 

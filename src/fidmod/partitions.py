@@ -152,9 +152,9 @@ def composition_parts(a: Iterable[int]) -> tuple[int, ...]:
     """The non-zero parts of the composition a, in order.  A negative part
     raises ValueError and a non-integer one TypeError (operator.index)."""
     parts = tuple(map(index, a))
-    if any(x < 0 for x in parts):
+    if parts and min(parts) < 0:
         raise ValueError(f"composition entries must be non-negative: {parts}")
-    return tuple(x for x in parts if x)
+    return tuple(filter(None, parts)) if 0 in parts else parts
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

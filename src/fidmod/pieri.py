@@ -13,9 +13,10 @@ so partitions that share a tail share its strips.  Every partition in a memo
 entry is interned, so an equal lam in different entries is one tuple.  A
 full level reads only prefix tables: free_modules.decompose_at merges the
 products over its classes' prefixes, and add_strips adds each last strip
-straight into the level's table.  It splits off the leading block itself
-and reads only the memoized tail strips, so the level's own partitions,
-which no later strip of that level reads, are neither interned nor cached.
+under its leading block, as counts per (head, memoized tail strip), so the
+level's own partitions, which no later strip of that level reads, are
+neither interned nor cached, and each is joined from head + tail once per
+distinct pair rather than once per strip.
 Targeted multiplicities summed over all compositions are Jacobi-Trudi
 determinants; a Decomposition is checked where a caller builds one.
 """
@@ -152,30 +153,38 @@ def _strips(rows: Partition, boxes: int, cap: int) -> tuple[Partition, ...]:
 
 
 def add_strips(
-    acc: dict[Partition, int], pairs: Iterable[tuple[Partition, int]], boxes: int
+    acc: dict[Partition, dict[Partition, int]],
+    pairs: Iterable[tuple[Partition, int]],
+    boxes: int,
 ) -> None:
-    """For each (rows, count) in pairs, add count into acc at every
-    partition of _strips(rows, boxes, boxes).
+    """For each (rows, count) in pairs and every partition head + tail of
+    _strips(rows, boxes, boxes), add count into acc[head][tail].
 
-    The strips themselves are not memoized: the leading block of rows is
-    split off here as in _strips, and only the strips of its tail are read
-    from that memo, so a caller whose (rows, boxes) never recur (the last
-    strip of a level) neither interns nor caches the partitions it adds.
+    The head is the leading block of rows after the strip, split off here
+    as in _strips, and the tail is one of the memoized, interned strips of
+    the rows below it, so no partition of size |rows| + boxes is built,
+    interned or cached here.  The caller joins head + tail once per
+    distinct pair, which many strips of many rows share; the join must sum,
+    since one partition can arise under heads of two lengths.  Empty rows
+    give the head (boxes,), or () for no boxes, and the tail ().
     """
     for rows, count in pairs:
         if not rows:
-            lam = (boxes,) if boxes else ()
-            acc[lam] = acc.get(lam, 0) + count
+            sub = acc.setdefault((boxes,) if boxes else (), {})
+            sub[()] = sub.get((), 0) + count
             continue
         part = rows[0]
         block = rows[: rows.count(part)]
-        tail = rows[len(block) :]
+        tail, lower = rows[len(block) :], block[1:]
         gap = part - tail[0] if tail else part
         for extra in range(boxes, max(boxes - part, 0) - 1, -1):
-            head, rest = (part + extra, *block[1:]), boxes - extra
-            for lam in _strips(tail, rest, min(rest, gap)):
-                lam = head + lam
-                acc[lam] = acc.get(lam, 0) + count
+            head, rest = (part + extra, *lower), boxes - extra
+            sub = acc.get(head)
+            if sub is None:
+                sub = acc[head] = {}
+            # The tail's cap is min(rest, gap), without the builtin call.
+            for lam in _strips(tail, rest, rest if rest < gap else gap):
+                sub[lam] = sub.get(lam, 0) + count
 
 
 @cache

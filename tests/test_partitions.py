@@ -1,12 +1,15 @@
 import math
+import operator
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fidmod.partitions import (
     InvalidPartition,
     MAX_TABLEAU_BOXES,
     TooLarge,
     UnsortedPads,
+    composition_parts,
     compositions,
     conjugate,
     contains,
@@ -133,6 +136,34 @@ def test_compositions_examples():
     assert list(compositions(2, 2)) == [(2, 0), (1, 1), (0, 2)]
     assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert len(list(compositions(3, 2))) == 4
+
+
+def _composition_parts_by_generators(a):
+    """composition_parts written with generator expressions, as the
+    reference for its builtin form."""
+    parts = tuple(map(operator.index, a))
+    if any(x < 0 for x in parts):
+        raise ValueError(f"composition entries must be non-negative: {parts}")
+    return tuple(x for x in parts if x)
+
+
+def _outcome(f, a):
+    try:
+        return f(a)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 5), st.just(0)), max_size=8))
+def test_composition_parts_matches_the_generator_form(a):
+    # Same parts, or the same error type and message, on integer tuples with
+    # zeros and negatives.
+    assert _outcome(composition_parts, tuple(a)) == _outcome(
+        _composition_parts_by_generators, tuple(a)
+    )
+    assert _outcome(composition_parts, iter(a)) == _outcome(
+        _composition_parts_by_generators, tuple(a)
+    )
 
 
 @pytest.mark.parametrize("total,length", [(0, 1), (4, 1), (3, 2), (5, 3), (4, 4)])

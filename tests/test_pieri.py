@@ -108,34 +108,65 @@ def test_strips_match_brute_force_for_every_cap():
                         assert seen.setdefault(lam, lam) is lam, (rows, boxes, cap, lam)
 
 
+def _joined(heads):
+    """The level table of an add_strips accumulator: head + tail summed."""
+    level = {}
+    for head, tails in heads.items():
+        for tail, count in tails.items():
+            level[head + tail] = level.get(head + tail, 0) + count
+    return level
+
+
+def _is_head_and_tail(head, tail):
+    """head is a leading block (its rows after the first are equal) and
+    head + tail is a partition."""
+    lam = head + tail
+    return len(set(head[1:])) <= 1 and all(x >= y for x, y in zip(lam, lam[1:]))
+
+
 def test_add_strips_matches_add_horizontal_strip():
-    # add_strips splits off the leading block itself and reads only the
-    # memoized strips of the tail; every partition of size <= 8 (the empty
-    # one included), 0..6 boxes, a count above 1, into a table that already
-    # holds entries, and one partition with more rows than the recursion
-    # limit.
+    # add_strips files each strip of rows under its leading block (the head)
+    # and a memoized tail strip, as acc[head][tail]; joined, the table equals
+    # _strips(rows, boxes, boxes) and the brute-force inverse
+    # remove_horizontal_strip.  Every partition of size <= 8 (the empty one
+    # included), 0..6 boxes, a count above 1, into an accumulator that
+    # already holds entries, and one partition with more rows than the
+    # recursion limit.
     clear_caches()
     cases = [rows for size in range(9) for rows in partitions_of(size)]
-    cases.append((3,) * 1200 + (1,) * 3)
-    for rows in cases:
+    for rows in cases + [(3,) * 1200 + (1,) * 3]:
         for boxes in range(7):
             count = 2 + sum(rows) % 5
             strips = _strips(rows, boxes, boxes)
-            start = {lam: 5 for lam in strips[::2]} | {(99,): 1}
-            expected = dict(start)
-            for lam in strips:
-                expected[lam] = expected.get(lam, 0) + count
-            acc = dict(start)
+            acc = {(99,): {(): 1}}
+            add_strips(acc, [(rows, 5)], boxes)
             add_strips(acc, [(rows, count)], boxes)
-            assert acc == expected, (rows[:4], len(rows), boxes)
-    # One call over many pairs sums their strips.
-    pairs = [(rows, 2 + i) for i, rows in enumerate(cases)]
-    expected, acc = {}, {}
-    for rows, count in pairs:
-        for lam in _strips(rows, 3, 3):
-            expected[lam] = expected.get(lam, 0) + count
-    add_strips(acc, pairs, 3)
-    assert acc == expected
+            assert all(_is_head_and_tail(h, t) for h, tails in acc.items() for t in tails)
+            expected = {(99,): 1} | {lam: 5 + count for lam in strips}
+            assert _joined(acc) == expected, (rows[:4], len(rows), boxes)
+            if len(rows) <= 8:
+                brute = [
+                    lam
+                    for lam in partitions_of(sum(rows) + boxes)
+                    if rows in remove_horizontal_strip(lam, boxes)
+                ]
+                assert sorted(strips) == sorted(brute), (rows, boxes)
+    assert _joined({}) == {}
+    # One call over many pairs sums their strips, and the join sums a
+    # partition that two heads of different lengths reach: (3, 2, 1) is
+    # (3, 2) + (1,) from (2, 2) and (3,) + (2, 1) from (3, 1).
+    for boxes in (0, 2, 3):
+        pairs = [(rows, 2 + i) for i, rows in enumerate(cases)]
+        expected, acc = {}, {}
+        for rows, count in pairs:
+            for lam in _strips(rows, boxes, boxes):
+                expected[lam] = expected.get(lam, 0) + count
+        add_strips(acc, pairs, boxes)
+        assert _joined(acc) == expected, boxes
+    acc = {}
+    add_strips(acc, [((2, 2), 1), ((3, 1), 1)], 2)
+    assert acc[(3, 2)][(1,)] == acc[(3,)][(2, 1)] == 1
+    assert _joined(acc)[(3, 2, 1)] == 2
 
 
 def test_decompose_at_interns_no_partition_of_its_level():
