@@ -56,14 +56,22 @@ MAX_FIT_WORK = 10**14
 #: takes 0.31 s.
 MAX_REGULAR_DEGREE = 40
 MAX_GENERATOR_DEGREE = 10_000
-#: Largest --d, and most rows len(core) + d, of the Jacobi-Trudi determinants that
-#: `stabilize` and `fit --mode mult --gen` build, one per shift or series degree,
-#: with binomial entries that grow with d.  2-CPU host, --gen "[10000]" and the
-#: shortest pads (~20,000 shifts, about half of them determinants): `stabilize`
-#: takes 1.3-1.8 s as a process with --lambda "[]" at d = 7 (M(40)'s scale) and
-#: 5.1 s at d = 10; 3.0 s with [1^12] at d = 2 (14 rows), 5.4 s with [1^7] at
-#: d = 7, and 12.7 s with [1^12] at d = 7 (19 rows).  `dim` is a closed form and
-#: `decompose` costs what n does, so neither is bounded here.
+#: Largest --d, and most rows len(core) + d, of the Jacobi-Trudi determinants,
+#: with binomial entries that grow with d, of the two commands that take a core.
+#: 2-CPU host, as a process:
+#:  - `stabilize` builds one determinant of len(core) + d rows per shift.  With
+#:    --gen "[10000]" and the shortest pads (~20,000 shifts, about half of them
+#:    determinants) it takes 0.9-1.8 s with --lambda "[]" at d = 7 (M(40)'s
+#:    scale) and 5.1 s at d = 10; 3.0 s with [1^12] at d = 2 (14 rows), 3.8-5.4 s
+#:    with [1^7] at d = 7, and 12.7 s with [1^12] at d = 7 (19 rows).
+#:  - `fit --mode mult --gen` builds, once per generator constituent, the
+#:    1 + len(core) first-row cofactors of len(core) rows, then sums binomials
+#:    per degree.  --gen "[10000]" --d 7 --lambda [1^7] takes 0.08-0.16 s on its
+#:    default window and on --window 0..10000, start-up most of it.  M(40) with
+#:    [1^12] at d = 2 on --window 0..10000 takes 0.8 s, building M(40) most of
+#:    it (129 s with one determinant per series degree).
+#: `dim` is a closed form and `decompose` costs what n does, so neither is
+#: bounded here.
 MAX_COLORS = 7
 MAX_DETERMINANT_ROWS = 14
 

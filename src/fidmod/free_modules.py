@@ -100,9 +100,17 @@ class FreeModuleSpec:
         return cls(d, Decomposition(sum(lam), {lam: 1}))
 
 
+def checked_spec(spec: FreeModuleSpec) -> FreeModuleSpec:
+    """spec if it is a FreeModuleSpec, else TypeError naming its type: the
+    one check of a spec argument."""
+    if not isinstance(spec, FreeModuleSpec):
+        raise TypeError(f"expected a FreeModuleSpec, got {type(spec).__name__}")
+    return spec
+
+
 def dim_at(spec: FreeModuleSpec, n: int) -> int:
     """Dimension of level n: dim(W) * C(n, m) * d^(n-m); 0 below degree m."""
-    n = checked_count(n, "level")
+    spec, n = checked_spec(spec), checked_count(n, "level")
     if n < spec.m:
         return 0
     return spec.generator.total_dimension() * math.comb(n, spec.m) * spec.d ** (n - spec.m)
@@ -148,7 +156,7 @@ def decompose_at(spec: FreeModuleSpec, n: int) -> Decomposition:
     distinct pair is joined into one partition of the level, so the level's
     own partitions are built once per level, never interned or memoized.
     """
-    n = checked_count(n, "level")
+    spec, n = checked_spec(spec), checked_count(n, "level")
     if n <= spec.m:
         return spec.generator if n == spec.m else Decomposition._of(n, {})
     merged: dict[int, dict[Partition, int]] = {}
@@ -185,7 +193,7 @@ def constituent_multiplicity(spec: FreeModuleSpec, target: Partition) -> int:
     target does not contain are skipped before the memoized call, so the
     memo does not fill with zeros nobody reads back.
     """
-    return _multiplicity(spec, new_partition(target))
+    return _multiplicity(checked_spec(spec), new_partition(target))
 
 
 def _multiplicity(spec: FreeModuleSpec, label: Partition | None) -> int:
@@ -241,7 +249,7 @@ def padded_multiplicity(spec: FreeModuleSpec, core: Partition, pads: Sequence[in
     There must be exactly d pads; `pad` checks them as it checks every
     label's, and a label denoting the zero representation (shortest pad
     below |core| + core_1) gives 0."""
-    if len(pads) != spec.d:
+    if len(pads) != checked_spec(spec).d:
         raise ValueError(f"pads must have length d = {spec.d}, got {len(pads)}")
     return _multiplicity(spec, pad(new_partition(core), pads))
 

@@ -18,7 +18,10 @@ level's own partitions, which no later strip of that level reads, are
 neither interned nor cached, and each is joined from head + tail once per
 distinct pair rather than once per strip.
 Targeted multiplicities summed over all compositions are Jacobi-Trudi
-determinants; a Decomposition is checked where a caller builds one.
+determinants.  For a padded series lam = (top, *core) only the first row of
+the matrix depends on top, so first_row_cofactors memoizes the expansion
+along that row once per (mu, core, colors), and each degree of the series is
+a sum of binomials.  A Decomposition is checked where a caller builds one.
 """
 
 from __future__ import annotations
@@ -261,10 +264,55 @@ def bounded_chain_count(mu: Partition, lam: Partition, steps: int) -> int:
     if steps == 0:
         return 1 if lam == mu else 0
     inner = mu + (0,) * (len(lam) - len(mu))
-    diffs = [[lam[i] - inner[j] - i + j for j in range(len(lam))] for i in range(len(lam))]
-    return _bareiss_determinant(
-        [[math.comb(k + steps - 1, k) if k >= 0 else 0 for k in row] for row in diffs]
-    )
+    return _bareiss_determinant(_jacobi_trudi_rows(lam, inner, steps, 0))
+
+
+def _jacobi_trudi_rows(
+    lam: Partition, inner: tuple[int, ...], steps: int, first: int
+) -> list[list[int]]:
+    """Rows first.. of the Jacobi-Trudi matrix of s_{lam/inner}(1^steps),
+    inner padded with zeros to len(lam) parts and steps >= 1: entry (i, j)
+    is h(lam_i - inner_j - i + j), where h(k) = C(k + steps - 1, steps - 1)
+    for k >= 0 and 0 otherwise."""
+    size, lower_index = len(lam), steps - 1
+    return [
+        [math.comb(k + lower_index, lower_index)
+         if (k := lam[i] - inner[j] - i + j) >= 0 else 0
+         for j in range(size)]
+        for i in range(first, size)
+    ]
+
+
+@cache
+def first_row_cofactors(
+    mu: Partition, core: Partition, steps: int
+) -> tuple[tuple[int, int], ...]:
+    """The (signed cofactor, offset) pairs, zero cofactors left out, that
+    expand the Jacobi-Trudi determinant of s_{lam/mu}(1^steps) along its
+    first row, for every lam = (top, *core) with top >= core_1:
+
+        s_{lam/mu}(1^steps) = sum of cofactor * h(top + offset)
+
+    with h as in bounded_chain_count (steps >= 1).  Only row 0 of the matrix
+    depends on top, so one memo entry serves a whole padded series.  mu is
+    padded with zeros to 1 + len(core) rows; the cofactor of column j is
+    (-1)^j times the minor of rows 1.. without column j, and its offset is
+    j - mu_j.  A mu of more than 1 + len(core) parts, or whose rows below
+    the first core does not contain, gives no pairs, since then no lam
+    contains mu.
+    """
+    if not contains(core, mu[1:]):
+        return ()
+    size = 1 + len(core)
+    inner = mu + (0,) * (size - len(mu))
+    # Rows 1.. of the matrix: row 0 is left out, so the 0 standing for top is never read.
+    lower = _jacobi_trudi_rows((0, *core), inner, steps, 1)
+    pairs = []
+    for j in range(size):
+        cofactor = _bareiss_determinant([row[:j] + row[j + 1 :] for row in lower])
+        if cofactor:
+            pairs.append((-cofactor if j % 2 else cofactor, j - inner[j]))
+    return tuple(pairs)
 
 
 def clear_caches() -> None:
@@ -276,6 +324,7 @@ def clear_caches() -> None:
         _strips,
         _interned,
         bounded_chain_count,
+        first_row_cofactors,
         characters.character_value,
         characters._class_sizes,
         characters._weighted_table,

@@ -5,8 +5,12 @@ validation on held-out degrees, never least squares.  Both fits, of
 polynomials and of exponential polynomials sum_i p_i(n) i^n, go through one
 engine that solves the integer collocation system in the monomial basis
 n^k i^n by fraction-free elimination, so the solution is the monomial
-coefficients themselves, and validates every window degree in integers.
-Partitions, degrees and degree bounds are checked once, on entry.
+coefficients themselves, and validates every window degree in integers, by
+Horner's rule on the reduced numerators.  Multiplicity series evaluate each
+degree from the memoized first-row Jacobi-Trudi cofactors of the generator's
+constituents, so a series costs one cofactor expansion per constituent and
+a sum of binomials per degree.  Specs, partitions, degrees and degree
+bounds are checked once, on entry.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 from .free_modules import (
     FreeModuleSpec,
     _composition_classes,
-    _multiplicity,
+    checked_spec,
     dim_at,
     guarantee_shift,
     stabilized_padded_multiplicity,
 )
-from .partitions import Partition, checked_count, multinomial, new_partition, pad
-from .pieri import bareiss_eliminate
+from .partitions import Partition, checked_count, contains, multinomial, new_partition, pad
+from .pieri import bareiss_eliminate, first_row_cofactors
 
 # `fractions` (which loads `decimal`) is imported inside the functions that
 # build a Fraction, so CLI commands that fit nothing never load it.
@@ -144,11 +148,11 @@ def _fit_exact(
         if n not in values:
             raise ValueError(f"window degree {n} missing from series")
 
-    def row(n: int) -> list[int]:
-        return [n**k * i**n for i in range(1, bases + 1) for k in range(block)]
-
     size = bases * block
-    system = [row(n) + [values[n]] for n in window[:size]]
+    system = [
+        [n**k * i**n for i in range(1, bases + 1) for k in range(block)] + [values[n]]
+        for n in window[:size]
+    ]
     bareiss_eliminate(system)
     det = system[-1][size - 1] if system else 1
     nums = [0] * size
@@ -157,8 +161,15 @@ def _fit_exact(
         nums[p] = (det * system[p][size] - rest) // system[p][p]
     common = math.gcd(det, *nums)
     den, nums = det // common, [y // common for y in nums]
+    # Each p_i(n), highest coefficient first for Horner's rule.
+    highest_first = [nums[i * block : (i + 1) * block][::-1] for i in range(bases)]
     for n in window:
-        got = sum(y * t for y, t in zip(nums, row(n)))
+        got = 0
+        for i, coeffs in enumerate(highest_first, 1):
+            acc = 0
+            for y in coeffs:
+                acc = acc * n + y
+            got += acc * i**n
         if got != den * values[n]:
             raise NoExactFit(
                 f"fit gives {Fraction(got, den)} at degree {n}, series has {values[n]}"
@@ -205,14 +216,49 @@ def multiplicity_series(
     spec: FreeModuleSpec, lam: Partition, degrees: Sequence[int]
 ) -> dict[int, int]:
     """c_{lam, n}: multiplicity of the 1-padded family of lam at each level,
-    keyed by level; lam = () gives the trivial representation's."""
-    lam = new_partition(lam)
-    return {n: _multiplicity(spec, pad(lam, (n,))) for n in degrees}
+    keyed by level; lam = () gives the trivial representation's.
+
+    c_{lam, n} = sum over generator constituents mu of w_mu s_{lam[n]/mu}(1^d),
+    and only the first row of each Jacobi-Trudi matrix depends on n, so each
+    degree sums the memoized first_row_cofactors of every mu against
+    h(n - |lam| + offset), h(k) = C(k + d - 1, d - 1).  A constituent whose
+    first part exceeds n - |lam| is skipped, since lam[n] does not contain
+    it; for every other one each offset j - mu_j (columns from 0) is at
+    least minus that first part, so every h argument is >= 0.  `pad` checks
+    every degree; below |lam| + lam_1 the label denotes the zero
+    representation and c is 0.
+    """
+    spec, lam = checked_spec(spec), new_partition(lam)
+    size, lower_index = sum(lam), spec.d - 1
+    expansions = []
+    for mu, weight in spec.generator.unordered_items():
+        # A mu that no label lam[n] contains is skipped before the memoized
+        # call, so the memo does not fill with empty expansions.
+        if contains(lam, mu[1:]):
+            pairs = first_row_cofactors(mu, lam, spec.d)
+            if pairs:
+                expansions.append((mu[0] if mu else 0, weight, pairs))
+    series = {}
+    for n in degrees:
+        if pad(lam, (n,)) is None:
+            series[n] = 0
+            continue
+        row, total = n - size, 0
+        base = row + lower_index
+        for first, weight, pairs in expansions:
+            if first <= row:
+                term = 0
+                for cofactor, offset in pairs:
+                    term += cofactor * math.comb(base + offset, lower_index)
+                total += weight * term
+        series[n] = total
+    return series
 
 
 def default_dims_window(spec: FreeModuleSpec, degree_bound: int) -> list[int]:
     """Window for dimension fitting: skips pre-stable degrees, then provides
     the fit block plus five validation degrees."""
+    spec = checked_spec(spec)
     block = spec.d * (checked_count(degree_bound, "degree bound") + 1)
     return list(range(spec.m + block, spec.m + 2 * block + 5))
 
@@ -223,7 +269,8 @@ def default_multiplicity_window(
     """Window for multiplicity fitting.  The start additionally skips
     |lam| + lam_1 degrees: multiplicities of short padded families settle
     only after the first row of the padded shape dominates."""
-    lam, degree_bound = new_partition(lam), checked_count(degree_bound, "degree bound")
+    spec, lam = checked_spec(spec), new_partition(lam)
+    degree_bound = checked_count(degree_bound, "degree bound")
     first = lam[0] if lam else 0
     start = spec.m + sum(lam) + first + spec.d * (degree_bound + 1)
     return list(range(start, start + degree_bound + 5))

@@ -4,11 +4,13 @@ None of these is on the library's production path, so they live with the
 tests rather than in the package: a box enumerator for exhaustive sweeps,
 the strip-removal builder, the inverse of `pieri._strips`,
 per-composition strip-chain counts built from it, a brute-force count
-of column-strict skew fillings, and induced characters summed over every
-element of a Young subgroup.  The chain counts cross-check
-`pieri_product` and, summed over compositions, `bounded_chain_count`; the
-filling count cross-checks the chain counts; the induced characters
-cross-check `characters.induce_trivial_product`.
+of column-strict skew fillings, induced characters summed over every
+element of a Young subgroup, and exponential-polynomial interpolation over
+the rationals.  The chain counts cross-check `pieri_product` and, summed
+over compositions, `bounded_chain_count`; the filling count cross-checks
+the chain counts; the induced characters cross-check
+`characters.induce_trivial_product`; the rational interpolation
+cross-checks the fraction-free fits of `stability`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
 
@@ -157,3 +160,27 @@ def induced_character_by_definition(mu: Partition, a: Sequence[int]) -> ClassFun
         for rho in partitions_of(sum(sizes))
     }
     return ClassFunction(sum(sizes), {rho: z[rho] * sums[rho] // order for rho in z})
+
+
+def interpolate_by_fractions(
+    values: dict[int, int], bases: int, block: int, nodes: Sequence[int]
+) -> list[list[Fraction]]:
+    """Coefficients c[i][k] of n^k (i + 1)^n, i < bases and k < block, of the
+    function that takes values[n] at each of the bases * block distinct
+    nodes, by Gauss-Jordan elimination over the rationals with row swaps."""
+    size = bases * block
+    rows = [
+        [Fraction(n**k * (i + 1) ** n) for i in range(bases) for k in range(block)]
+        + [Fraction(values[n])]
+        for n in nodes
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    solution = [row[size] for row in rows]
+    return [solution[i * block : (i + 1) * block] for i in range(bases)]

@@ -1,6 +1,8 @@
-"""The validation boundary: every `fidmod` name that takes a partition or a
-count checks it once, on entry, and the package's own loops reach the
-multiplicity kernel without re-entering the public API."""
+"""The validation boundary: every `fidmod` name that takes a partition, a
+count or a spec checks it once, on entry, and the package's own loops reach
+the multiplicity kernel without re-entering the public API."""
+
+import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,21 @@ TAKES_A_COUNT = {
     "Decomposition-multiplicity": lambda n: Decomposition(2, {(2,): 1, (1, 1): n}),
 }
 
+#: Every namespace call that takes a spec, with the bad value in its place.
+TAKES_A_SPEC = {
+    "dim_at": lambda spec: dim_at(spec, 3),
+    "decompose_at": lambda spec: decompose_at(spec, 3),
+    "constituent_multiplicity": lambda spec: constituent_multiplicity(spec, (2, 1)),
+    "padded_multiplicity": lambda spec: padded_multiplicity(spec, (1,), (5, 5)),
+    "stabilized_padded_multiplicity": lambda spec: stabilized_padded_multiplicity(
+        spec, (1,), (5, 5)
+    ),
+    "multiplicity_series": lambda spec: multiplicity_series(spec, (1,), [3]),
+    "default_dims_window": lambda spec: default_dims_window(spec, 1),
+    "default_multiplicity_window": lambda spec: default_multiplicity_window(spec, (1,), 1),
+    "verify_stability": lambda spec: verify_stability(spec, [], [3]),
+}
+
 _rows = st.lists(st.integers(1, 6), min_size=1, max_size=4).map(
     lambda p: tuple(sorted(p, reverse=True))
 )
@@ -96,7 +113,7 @@ _not_a_count = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_every_name_refuses_a_bad_partition_or_count(data):
     kind = data.draw(st.sampled_from(["partition", "count"]))
@@ -120,6 +137,25 @@ def test_every_namespace_name_that_takes_one_is_covered():
     } - {"decompose"}
     covered = {name.split("-")[0].split(".")[0] for name in {**TAKES_A_PARTITION, **TAKES_A_COUNT}}
     assert covered == takes_one
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_SPEC))
+@pytest.mark.parametrize(
+    "bad", ["x", None, SPEC.generator, (2, SPEC.generator)], ids=["str", "None", "gen", "tuple"]
+)
+def test_every_name_refuses_a_spec_of_another_type(name, bad):
+    # A str used to raise AttributeError from the first attribute read.
+    # verify_stability raises NotFree, a TypeError.
+    with pytest.raises(TypeError, match=f"expected a FreeModuleSpec, got {type(bad).__name__}"):
+        TAKES_A_SPEC[name](bad)
+
+
+def test_every_namespace_name_that_takes_a_spec_is_covered():
+    takes_a_spec = {
+        name for name, value in vars(fidmod).items()
+        if inspect.isfunction(value) and "spec" in inspect.signature(value).parameters
+    }
+    assert takes_a_spec == set(TAKES_A_SPEC)
 
 
 # Each of these returned a value before the boundary, or failed only by

@@ -261,6 +261,14 @@ def test_core_past_length_bound_exit_2_before_any_determinant(capsys, monkeypatc
     assert code == 2 and out == "" and f"<= {cli.MAX_DETERMINANT_ROWS}, got {rows} + 2" in err
 
 
+#: Where each command looks up its determinants: a stabilization computes one
+#: per shift, a multiplicity series the first-row cofactors of each constituent.
+_DETERMINANT_BINDING = {
+    "stabilize": "fidmod.free_modules.bounded_chain_count",
+    "fit-mult": "fidmod.stability.first_row_cofactors",
+}
+
+
 @pytest.mark.parametrize("command", ["stabilize", "fit-mult"])
 @pytest.mark.parametrize(
     "rows, expected",
@@ -276,7 +284,7 @@ def test_joint_row_count_exit_2_before_any_determinant(
     def unreached(*args):
         raise AssertionError("determinant started")
 
-    monkeypatch.setattr("fidmod.free_modules.bounded_chain_count", unreached)
+    monkeypatch.setattr(_DETERMINANT_BINDING[command], unreached)
     d = cli.MAX_COLORS
     argv = ("--d", str(d), "--gen", "[10000]", "--lambda", _column(rows))
     if command == "stabilize":
@@ -327,7 +335,7 @@ def test_color_count_bound_exit_2_before_any_determinant(
         raise AssertionError("determinant started")
 
     if stubbed:
-        monkeypatch.setattr("fidmod.free_modules.bounded_chain_count", unreached)
+        monkeypatch.setattr(_DETERMINANT_BINDING[command], unreached)
     code, out, err = run_cli(capsys, *_color_argv(command, d), "--d", str(d))
     assert code == expected, err
     assert bool(out) == (expected == 0)

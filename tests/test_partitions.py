@@ -2,7 +2,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fidmod.partitions import (
     InvalidPartition,
@@ -154,6 +154,7 @@ def _outcome(f, a):
         return type(exc), str(exc)
 
 
+@settings(deadline=None, derandomize=True, database=None)
 @given(st.lists(st.one_of(st.integers(-3, 5), st.just(0)), max_size=8))
 def test_composition_parts_matches_the_generator_form(a):
     # Same parts, or the same error type and message, on integer tuples with

@@ -27,6 +27,7 @@ from fidmod.pieri import (
     add_strips,
     bounded_chain_count,
     clear_caches,
+    first_row_cofactors,
     pieri_product,
 )
 from oracles import chain_multiplicity, remove_horizontal_strip, skew_filling_count
@@ -326,6 +327,45 @@ def test_bounded_chain_count_fixed_cases(mu, lam, steps, expected):
     assert bounded_chain_count(mu, lam, steps) == expected
 
 
+@pytest.mark.parametrize(
+    "mu, core, steps, expected",
+    [
+        ((), (), 3, ((1, 0),)),  # s_(top)(1^3) = h(top)
+        ((), (1,), 2, ((2, 0), (-1, 1))),  # s_(top,1)(1^2) = 2 h(top) - h(top + 1) = top
+        ((1,), (1,), 2, ((2, -1),)),  # two disconnected rows: h(top - 1) h(1)
+        ((2, 1), (2, 1), 1, ((1, -2),)),
+        ((1, 1, 1), (1,), 2, ()),  # more parts than 1 + len(core)
+        ((2, 2), (1,), 2, ()),  # core does not contain mu's lower rows
+    ],
+)
+def test_first_row_cofactors_fixed_cases(mu, core, steps, expected):
+    assert first_row_cofactors(mu, core, steps) == expected
+
+
+def test_first_row_expansion_equals_the_determinant_and_the_chains():
+    # Three routes to s_{lam/mu}(1^steps) for lam = (top, *core): the memoized
+    # first-row expansion, the whole determinant, and strip chains summed over
+    # every composition.
+    for steps in (1, 2, 3):
+        for core in [c for size in range(4) for c in partitions_of(size)]:
+            least = core[0] if core else 0
+            for mu in [p for size in range(5) for p in partitions_of(size)]:
+                pairs = first_row_cofactors(mu, core, steps)
+                for top in range(least, least + 5):
+                    lam = (top, *core) if top else core
+                    expansion = sum(
+                        c * math.comb(top + off + steps - 1, steps - 1)
+                        for c, off in pairs if top + off >= 0
+                    )
+                    boxes = sum(lam) - sum(mu)
+                    chains = sum(
+                        chain_multiplicity(mu, a, lam) for a in compositions(boxes, steps)
+                    ) if boxes >= 0 else 0
+                    assert expansion == bounded_chain_count(mu, lam, steps) == chains, (
+                        mu, lam, steps
+                    )
+
+
 def _leibniz_determinant(rows):
     size = len(rows)
     total = 0
@@ -377,6 +417,7 @@ def test_clear_caches_empties_every_memo_table():
     assert tables
     pieri_product((1,), (2, 1))
     bounded_chain_count((1,), (3, 1), 2)
+    first_row_cofactors((1,), (1,), 2)
     characters.decompose(characters.induce_trivial_product((1,), (1, 1)))
     assert [name for name, t in tables.items() if not t.cache_info().currsize] == []
     clear_caches()

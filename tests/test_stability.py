@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fidmod.free_modules import FreeModuleSpec, decompose_at, dim_at
+from fidmod.free_modules import FreeModuleSpec, _multiplicity, decompose_at, dim_at
 from fidmod.partitions import dim_irreducible, pad, partitions_of
+from fidmod.pieri import Decomposition, bounded_chain_count, clear_caches, first_row_cofactors
+from oracles import interpolate_by_fractions
 from fidmod.stability import (
     ExponentialPolynomial,
     InsufficientPoints,
@@ -154,6 +156,103 @@ def test_fits_reproduce_and_predict_exactly(case, data):
         fit_exponential_polynomial({**dims, bad: dims[bad] + 1}, d, b, window)
     with pytest.raises(NoExactFit):
         fit_polynomial({**mult, bad: mult[bad] + 1}, b, window)
+
+
+def _fit_outcome(fit, *args):
+    """A fit's coefficients, one tuple per base, or its error type and message."""
+    try:
+        result = fit(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    polynomials = result.polynomials if isinstance(result, ExponentialPolynomial) else [result]
+    return tuple(p.coeffs for p in polynomials)
+
+
+def _reference_outcome(series, bases, block, window):
+    """What both fits must give: the rational interpolant of the leading
+    window degrees, trimmed, or NoExactFit at the first window degree it
+    misses, with the value it gives there."""
+    window = sorted(window)
+    coeffs = interpolate_by_fractions(series, bases, block, window[: bases * block])
+    for n in window:
+        value = sum(
+            c * n**k * (i + 1) ** n for i, row in enumerate(coeffs) for k, c in enumerate(row)
+        )
+        if value != series[n]:
+            return NoExactFit, f"fit gives {value} at degree {n}, series has {series[n]}"
+    return tuple(RationalPolynomial.of(row).coeffs for row in coeffs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_series_and_window(), st.integers(0, 60), st.data())
+def test_fits_equal_rational_interpolation_on_corrupted_and_shifted_windows(case, shift, data):
+    d, b, coeffs, window = case
+    window = [n + shift for n in window]
+    dims = {n: _binomial_exponential(coeffs, n) for n in window}
+    mult = {n: _binomial_exponential(coeffs[:1], n) for n in window}
+    if data.draw(st.booleans()):
+        bad, delta = data.draw(st.sampled_from(window)), data.draw(st.sampled_from([-2, -1, 1, 3]))
+        dims[bad] += delta
+        mult[bad] += delta
+    given_order = data.draw(st.permutations(window))
+    assert _fit_outcome(fit_exponential_polynomial, dims, d, b, given_order) == (
+        _reference_outcome(dims, d, b + 1, window)
+    )
+    assert _fit_outcome(fit_polynomial, mult, b, given_order) == (
+        _reference_outcome(mult, 1, b + 1, window)
+    )
+
+
+_LINE = {n: n + 1 for n in range(10)}
+#: Refused fits, with the type and message each has always had.
+FIT_REFUSALS = {
+    "poly-short": (
+        lambda: fit_polynomial({n: n for n in range(5)}, 1, range(5)),
+        InsufficientPoints, "need degree_bound + 5 = 6 points, got 5",
+    ),
+    "exp-short": (
+        lambda: fit_exponential_polynomial({n: 2**n for n in range(4)}, 2, 0, range(4)),
+        InsufficientPoints, "need 2 fit points plus 3 validation points, got 4",
+    ),
+    "poly-duplicate": (
+        lambda: fit_polynomial({n: n for n in range(8)}, 1, [0, 0, 1, 2, 3, 4, 5]),
+        ValueError, "window degrees must be distinct and >= 0, got [0, 0, 1, 2, 3, 4, 5]",
+    ),
+    "exp-negative": (
+        lambda: fit_exponential_polynomial({n: 1 for n in range(-3, 5)}, 2, 0, range(-3, 5)),
+        ValueError, "window degrees must be distinct and >= 0, got [-3, -2, -1, 0, 1, 2, 3, 4]",
+    ),
+    "exp-missing": (
+        lambda: fit_exponential_polynomial({n: 2**n for n in range(8)}, 2, 0, range(5, 15)),
+        ValueError, "window degree 8 missing from series",
+    ),
+    "poly-corrupted": (
+        lambda: fit_polynomial({**_LINE, 8: 0}, 1, range(10)),
+        NoExactFit, "fit gives 9 at degree 8, series has 0",
+    ),
+    "poly-corrupted-leading": (
+        lambda: fit_polynomial({**_LINE, 0: 5}, 1, range(10)),
+        NoExactFit, "fit gives -1 at degree 2, series has 3",
+    ),
+    "poly-fraction-unsorted": (
+        lambda: fit_polynomial({0: 0, 2: 1, 3: 0, 4: 0, 5: 0, 6: 0}, 1, [6, 5, 4, 3, 2, 0]),
+        NoExactFit, "fit gives 3/2 at degree 3, series has 0",
+    ),
+    "exp-corrupted": (
+        lambda: fit_exponential_polynomial(
+            {n: 3**n + (n == 10) for n in range(12)}, 3, 0, range(12)
+        ),
+        NoExactFit, "fit gives 59049 at degree 10, series has 59050",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_REFUSALS))
+def test_fit_refusals_keep_their_messages(case):
+    call, expected, message = FIT_REFUSALS[case]
+    with pytest.raises(expected) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_fit_polynomial_free_module_multiplicities():
@@ -322,3 +421,58 @@ def test_exponential_polynomial_evaluate():
         (RationalPolynomial.of([1]), RationalPolynomial.of([0, Fraction(1, 2)]))
     )
     assert ep.evaluate(3) == 1 + Fraction(3, 2) * 8
+
+
+def _sweep_specs(d):
+    """M(0..4) and every irreducible generator of size <= 4, with d colors."""
+    return [FreeModuleSpec.regular(d, m) for m in range(5)] + [
+        FreeModuleSpec.of_irreducible(d, g) for m in range(5) for g in partitions_of(m)
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_series_matches_one_determinant_per_degree(d):
+    # The first-row expansion against the determinant route, which builds the
+    # whole Jacobi-Trudi matrix of each padded label (bounded_chain_count).
+    cores = [core for size in range(5) for core in partitions_of(size)]
+    for spec in _sweep_specs(d):
+        for core in cores:
+            series = multiplicity_series(spec, core, range(22))
+            for n, value in series.items():
+                assert value == _multiplicity(spec, pad(core, (n,))), (spec, core, n)
+
+
+@st.composite
+def _series_case(draw):
+    """A spec with one to three constituents, some possibly longer than the
+    label, a core of up to 9 rows, and degrees from 0, below |core| + core_1
+    too; d = 1 half the time."""
+    d = draw(st.one_of(st.just(1), st.integers(1, 4)))
+    m = draw(st.integers(0, 7))
+    shapes = list(partitions_of(m))
+    chosen = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(chosen), max_size=len(chosen)))
+    core = draw(
+        st.lists(st.integers(1, 3), max_size=9).map(lambda p: tuple(sorted(p, reverse=True)))
+    )
+    top = sum(core) + (core[0] if core else 0) + m + 4
+    degrees = draw(st.lists(st.integers(0, top), min_size=1, max_size=12))
+    return FreeModuleSpec(d, Decomposition(m, dict(zip(chosen, weights)))), core, degrees
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_series_case())
+def test_series_matches_the_determinant_route_on_long_cores(case):
+    spec, core, degrees = case
+    series = multiplicity_series(spec, core, degrees)
+    assert series == {n: _multiplicity(spec, pad(core, (n,))) for n in degrees}
+
+
+def test_series_expands_each_constituent_once_and_builds_no_determinant():
+    clear_caches()
+    spec = FreeModuleSpec.regular(3, 2)  # constituents (2,) and (1, 1)
+    multiplicity_series(spec, (1,), range(13, 20))
+    assert first_row_cofactors.cache_info().misses == 2
+    assert bounded_chain_count.cache_info().misses == 0
+    multiplicity_series(spec, (1,), range(14, 21))  # the window one step on
+    assert first_row_cofactors.cache_info().misses == 2
