@@ -50,26 +50,30 @@ ORACLE_LIMIT = 8
 #: 0.8 s and 62 MB; d = 4, degree bound 2 at degree 10^4 is 1e14, 0.7 s.
 MAX_DEGREE = 10_000
 MAX_FIT_WORK = 10**14
-#: Largest k in --gen "M(k)" and degree of a partition-literal --gen.  2-CPU host:
-#: M(40) (37,338 constituents) builds in 1.0 s, and `stabilize` at d = 2, pads 0,0
-#: (85 shifts) takes 1.6 s and 31 MB as a process; [10000] there (20,005 shifts)
-#: takes 0.31 s.
+#: Largest k in --gen "M(k)" and degree of a partition-literal --gen.  2-CPU host,
+#: as a process: `stabilize` with M(40) (37,338 constituents) at d = 2, pads 0,0
+#: takes 0.6 s and 27 MB, building M(40) most of it; [10000] there (guarantee
+#: shift 20,000, about 20 shifts probed) takes 0.07 s and 15 MB, start-up most
+#: of it.
 MAX_REGULAR_DEGREE = 40
 MAX_GENERATOR_DEGREE = 10_000
 #: Largest --d, and most rows len(core) + d, of the Jacobi-Trudi determinants,
 #: with binomial entries that grow with d, of the two commands that take a core.
 #: 2-CPU host, as a process:
-#:  - `stabilize` builds one determinant of len(core) + d rows per shift.  With
-#:    --gen "[10000]" and the shortest pads (~20,000 shifts, about half of them
-#:    determinants) it takes 0.9-1.8 s with --lambda "[]" at d = 7 (M(40)'s
-#:    scale) and 5.1 s at d = 10; 3.0 s with [1^12] at d = 2 (14 rows), 3.8-5.4 s
-#:    with [1^7] at d = 7, and 12.7 s with [1^12] at d = 7 (19 rows).
+#:  - `stabilize` builds one determinant of len(core) + d rows per probed shift,
+#:    about log2(guarantee shift) + 6 of them.  With --gen "[10000]" and the
+#:    shortest pads (guarantee shift ~20,000) it takes 0.07 s, start-up most
+#:    of it, with --lambda "[]" at d = 7, [1^12] at d = 2 (14 rows) and [1^7]
+#:    at d = 7; past the bounds the library takes 0.06 s with [] at d = 10
+#:    and with [1^12] at d = 7 (19 rows).
 #:  - `fit --mode mult --gen` builds, once per generator constituent, the
 #:    1 + len(core) first-row cofactors of len(core) rows, then sums binomials
-#:    per degree.  --gen "[10000]" --d 7 --lambda [1^7] takes 0.08-0.16 s on its
+#:    per degree.  --gen "[10000]" --d 7 --lambda [1^7] takes 0.07-0.08 s on its
 #:    default window and on --window 0..10000, start-up most of it.  M(40) with
-#:    [1^12] at d = 2 on --window 0..10000 takes 0.8 s, building M(40) most of
+#:    [1^12] at d = 2 on --window 0..10000 takes 0.6 s, building M(40) most of
 #:    it (129 s with one determinant per series degree).
+#: At the bounds neither command costs much more than start-up and the
+#: generator build; the bounds keep inputs inside the sizes the tests cover.
 #: `dim` is a closed form and `decompose` costs what n does, so neither is
 #: bounded here.
 MAX_COLORS = 7

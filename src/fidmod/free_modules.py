@@ -8,7 +8,10 @@ which is what everything here computes, exactly.  Full levels sum the
 products over each composition's prefix into one table per last part and
 add that last strip as counts per (leading block, memoized tail strip),
 joined into the level's table once per distinct pair, without memoizing
-it; targeted multiplicities are Jacobi-Trudi determinants.  Public
+it; targeted multiplicities are Jacobi-Trudi determinants.  A padded
+multiplicity never decreases as its pads shift up together (the proof is
+at stabilized_padded_multiplicity), so a stabilization computes the
+plateau past its guarantee shift and finds the onset by bisection.  Public
 functions check their arguments once, on entry; their loops call the
 unchecked kernel _multiplicity on labels that `pad` has built.
 """
@@ -16,6 +19,7 @@ unchecked kernel _multiplicity on labels that `pad` has built.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
@@ -270,26 +274,42 @@ def guarantee_shift(spec: FreeModuleSpec, base_pads: Sequence[int]) -> int:
 def stabilized_padded_multiplicity(
     spec: FreeModuleSpec, lam: Partition, base_pads: Sequence[int]
 ) -> StabilizationResult:
-    """Stable value of the multiplicity of (lam, base_pads + shift) as the
-    shift grows, with the smallest shift from which the value never changes.
+    """Stable value of the multiplicity c(l) of (lam, base_pads + l) as the
+    shift l grows, with the smallest shift from which the value never changes.
 
-    Computes shifts 0..guarantee_shift + PLATEAU_CONFIRM_SHIFTS, at most
-    2m + 5 of them; a non-constant tail past guarantee_shift would falsify
-    the stability property and raises NoStabilization.  Shift 0 checks lam
-    and the pads (padded_multiplicity); later ones go to the kernel.
+    c(l) never decreases.  It is sum_mu w_mu s_{nu/mu}(1^d) with nu the
+    label at shift l, and shift l + 1 adds one box to each of nu's d pad
+    rows, its first d.  Expand s_{nu/mu} = sum_kappa c^nu_{mu kappa} s_kappa
+    (the Littlewood-Richardson rule; Macdonald I.9, Fulton ch. 5); terms
+    with l(kappa) > d vanish at 1^d.  Append the entry i + 1 to row i (from
+    0) of an LR tableau of nu/mu of content kappa, for each i < d.  Rows
+    stay weakly increasing (row i holds entries <= i + 1), columns stay
+    strict (the box above a new box in row i holds at most i, and a box
+    below it can only be the new i + 2 of row i + 1), and the reading word
+    stays a lattice word (each added i + 1 is read after the added i).  So
+    the map is an injection into the LR tableaux of nu+/mu of content
+    kappa + 1^d, and s_{kappa + 1^d}(1^d) = s_kappa(1^d).
+
+    Shift 0 checks lam and the pads (padded_multiplicity); every other shift
+    goes to the kernel.  Shifts guarantee_shift..guarantee_shift +
+    PLATEAU_CONFIRM_SHIFTS give the stable value; a non-constant tail there
+    would falsify the stability property and raises NoStabilization.  By
+    the monotonicity the onset is then the first shift below guarantee_shift
+    at the stable value, found by bisection in about log2(guarantee_shift)
+    shifts.
     """
     lam, pads = tuple(lam), tuple(base_pads)
-    values = [padded_multiplicity(spec, lam, pads)]
+    start = padded_multiplicity(spec, lam, pads)
     guarantee = guarantee_shift(spec, pads)
-    for l in range(1, guarantee + PLATEAU_CONFIRM_SHIFTS + 1):
-        values.append(_multiplicity(spec, pad(lam, tuple(p + l for p in pads))))
-    stable = values[guarantee]
-    if any(v != stable for v in values[guarantee:]):
+    def c(l: int) -> int:
+        return _multiplicity(spec, pad(lam, tuple(p + l for p in pads))) if l else start
+    shifts = range(guarantee, guarantee + PLATEAU_CONFIRM_SHIFTS + 1)
+    tail = [c(l) for l in shifts]
+    stable = tail[0]
+    if any(v != stable for v in tail):
         raise NoStabilization(
-            f"multiplicities {values} past shift {guarantee} are not constant; "
+            f"multiplicities {tail} at shifts {shifts[0]}..{shifts[-1]} are not constant; "
             "this contradicts the stability property for free modules"
         )
-    onset = guarantee
-    while onset > 0 and values[onset - 1] == stable:
-        onset -= 1
+    onset = bisect_left(range(guarantee), True, key=lambda l: c(l) == stable)
     return StabilizationResult(stable, onset)

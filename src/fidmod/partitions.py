@@ -119,7 +119,7 @@ def pad(lam: Partition, pads: Iterable[int]) -> Partition | None:
         raise UnsortedPads(f"pads must be weakly decreasing, got {p}")
     if not p:
         return lam
-    if p[-1] < 0:  # inline: `pad` runs once per shift and series degree
+    if p[-1] < 0:  # inline: `pad` runs once per probed shift
         raise ValueError(f"pads must be >= 0, got {p}")
     size = sum(lam)
     first = lam[0] if lam else 0

@@ -27,7 +27,7 @@ from .free_modules import (
     guarantee_shift,
     stabilized_padded_multiplicity,
 )
-from .partitions import Partition, checked_count, contains, multinomial, new_partition, pad
+from .partitions import Partition, checked_count, contains, multinomial, new_partition
 from .pieri import bareiss_eliminate, first_row_cofactors
 
 # `fractions` (which loads `decimal`) is imported inside the functions that
@@ -224,12 +224,13 @@ def multiplicity_series(
     h(n - |lam| + offset), h(k) = C(k + d - 1, d - 1).  A constituent whose
     first part exceeds n - |lam| is skipped, since lam[n] does not contain
     it; for every other one each offset j - mu_j (columns from 0) is at
-    least minus that first part, so every h argument is >= 0.  `pad` checks
-    every degree; below |lam| + lam_1 the label denotes the zero
+    least minus that first part, so every h argument is >= 0.  Each degree
+    is checked as a count; below |lam| + lam_1 the label denotes the zero
     representation and c is 0.
     """
     spec, lam = checked_spec(spec), new_partition(lam)
     size, lower_index = sum(lam), spec.d - 1
+    least = size + (lam[0] if lam else 0)
     expansions = []
     for mu, weight in spec.generator.unordered_items():
         # A mu that no label lam[n] contains is skipped before the memoized
@@ -240,7 +241,7 @@ def multiplicity_series(
                 expansions.append((mu[0] if mu else 0, weight, pairs))
     series = {}
     for n in degrees:
-        if pad(lam, (n,)) is None:
+        if checked_count(n, "degree") < least:
             series[n] = 0
             continue
         row, total = n - size, 0
@@ -326,7 +327,7 @@ def verify_stability(
     Generation is recorded as the color-frequency orbit dimensions, one
     term per class of rearrangements, accounting for the whole level n + 1.
     Plateaus come from stabilized_padded_multiplicity on every probe; an
-    onset never exceeds its guarantee shift (the search walks down from it).
+    onset never exceeds its guarantee shift (it is bisected below it).
     """
     if not isinstance(spec, FreeModuleSpec):
         raise NotFree(f"expected a FreeModuleSpec, got {type(spec).__name__}")

@@ -5,12 +5,14 @@ tests rather than in the package: a box enumerator for exhaustive sweeps,
 the strip-removal builder, the inverse of `pieri._strips`,
 per-composition strip-chain counts built from it, a brute-force count
 of column-strict skew fillings, induced characters summed over every
-element of a Young subgroup, and exponential-polynomial interpolation over
-the rationals.  The chain counts cross-check `pieri_product` and, summed
-over compositions, `bounded_chain_count`; the filling count cross-checks
-the chain counts; the induced characters cross-check
-`characters.induce_trivial_product`; the rational interpolation
-cross-checks the fraction-free fits of `stability`.
+element of a Young subgroup, exponential-polynomial interpolation over
+the rationals, and a stabilization that computes every shift.  The chain
+counts cross-check `pieri_product` and, summed over compositions,
+`bounded_chain_count`; the filling count cross-checks the chain counts;
+the induced characters cross-check `characters.induce_trivial_product`;
+the rational interpolation cross-checks the fraction-free fits of
+`stability`; the shift walk cross-checks the bisected onsets of
+`free_modules.stabilized_padded_multiplicity`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,14 @@ from functools import cache
 from typing import Iterator, Sequence
 
 from fidmod.characters import ClassFunction, character_value
+from fidmod.free_modules import (
+    PLATEAU_CONFIRM_SHIFTS,
+    FreeModuleSpec,
+    NoStabilization,
+    StabilizationResult,
+    guarantee_shift,
+    padded_multiplicity,
+)
 from fidmod.partitions import Partition, contains, partitions_of
 
 
@@ -184,3 +194,28 @@ def interpolate_by_fractions(
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     solution = [row[size] for row in rows]
     return [solution[i * block : (i + 1) * block] for i in range(bases)]
+
+
+def shifted_multiplicities(
+    spec: FreeModuleSpec, core: Partition, base_pads: Sequence[int], count: int
+) -> list[int]:
+    """padded_multiplicity of core[base_pads + l] for every shift l < count."""
+    return [padded_multiplicity(spec, core, [p + l for p in base_pads]) for l in range(count)]
+
+
+def stabilize_by_walk(
+    spec: FreeModuleSpec, core: Partition, base_pads: Sequence[int]
+) -> StabilizationResult:
+    """Stabilization without the monotonicity: every shift 0..guarantee_shift
+    + PLATEAU_CONFIRM_SHIFTS, a tail that must be constant from
+    guarantee_shift, and the onset found by walking down from it while the
+    value stays at the stable one."""
+    guarantee = guarantee_shift(spec, base_pads)
+    values = shifted_multiplicities(spec, core, base_pads, guarantee + PLATEAU_CONFIRM_SHIFTS + 1)
+    stable = values[guarantee]
+    if any(v != stable for v in values[guarantee:]):
+        raise NoStabilization(f"multiplicities {values} past shift {guarantee} are not constant")
+    onset = guarantee
+    while onset > 0 and values[onset - 1] == stable:
+        onset -= 1
+    return StabilizationResult(stable, onset)

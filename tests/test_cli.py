@@ -163,11 +163,24 @@ def test_stabilize_runs_to_the_structural_bound(capsys):
     assert (payload["value"], payload["onset"], payload["guarantee_shift"]) == ("1", 30, 60)
 
 
+def test_stabilize_at_the_generator_degree_bound(capsys):
+    # guarantee_shift 20,000 at d = 7: the onset is bisected, not walked to.
+    code, out, _ = run_cli(
+        capsys, "stabilize", "--d", "7", "--gen", "[10000]", "--lambda", "[]",
+        "--pads", "0,0,0,0,0,0,0",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["onset"], payload["guarantee_shift"]) == (
+        "1391807987132170024501", 10000, 20000
+    )
+
+
 def test_stabilize_non_constant_tail_exit_4(capsys, monkeypatch):
     # A tail that keeps changing past guarantee_shift breaks the stability
     # property of free modules: an invariant breach, not "no exact fit".
-    # Every shift reaches the unchecked kernel, which sees the padded label
-    # (l,) at shift l.
+    # Every probed shift reaches the unchecked kernel, which sees the padded
+    # label (l,) at shift l.
     monkeypatch.setattr("fidmod.free_modules._multiplicity", lambda spec, label: sum(label))
     code, out, err = run_cli(
         capsys, "stabilize", "--d", "1", "--gen", "[1]", "--lambda", "[]", "--pads", "0"
@@ -262,7 +275,8 @@ def test_core_past_length_bound_exit_2_before_any_determinant(capsys, monkeypatc
 
 
 #: Where each command looks up its determinants: a stabilization computes one
-#: per shift, a multiplicity series the first-row cofactors of each constituent.
+#: per probed shift, a multiplicity series the first-row cofactors of each
+#: constituent.
 _DETERMINANT_BINDING = {
     "stabilize": "fidmod.free_modules.bounded_chain_count",
     "fit-mult": "fidmod.stability.first_row_cofactors",

@@ -3,8 +3,11 @@ import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fidmod import free_modules
 from fidmod.free_modules import (
+    PLATEAU_CONFIRM_SHIFTS,
     FreeModuleSpec,
     NotContained,
     _composition_classes,
@@ -12,6 +15,7 @@ from fidmod.free_modules import (
     decompose_at,
     dim_at,
     greedy_step,
+    guarantee_shift,
     is_constituent,
     padded_multiplicity,
     stabilized_padded_multiplicity,
@@ -26,7 +30,7 @@ from fidmod.partitions import (
     partitions_of,
 )
 from fidmod.pieri import Decomposition, bounded_chain_count, pieri_product
-from oracles import partitions_in_box
+from oracles import partitions_in_box, shifted_multiplicities, stabilize_by_walk
 
 
 def test_spec_validation():
@@ -320,6 +324,82 @@ def test_stabilized_runs_to_the_structural_bound():
     # on shifts 60..64.
     spec = FreeModuleSpec.of_irreducible(1, (30,))
     assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
+
+
+def _stabilization_sweep():
+    """(spec, core, base pads) for d <= 4, M(0..4) and every irreducible
+    generator of size <= 4, cores of size <= 3, and equal, first-raised and
+    staircase pads whose shortest is one below, at or one above the least
+    pad with a non-zero label, |core| + core_1."""
+    cores = [core for size in range(4) for core in partitions_of(size)]
+    for d in range(1, 5):
+        specs = [FreeModuleSpec.regular(d, m) for m in range(5)]
+        specs += [FreeModuleSpec.of_irreducible(d, g) for m in range(5) for g in partitions_of(m)]
+        for spec in dict.fromkeys(specs):
+            for core in cores:
+                least = sum(core) + (core[0] if core else 0)
+                for low in range(max(0, least - 1), least + 2):
+                    equal = (low,) * d
+                    raised = (low + 1, *equal[1:])
+                    staircase = tuple(range(low + d - 1, low - 1, -1))
+                    for pads in dict.fromkeys([equal, raised, staircase]):
+                        yield spec, core, pads
+
+
+def _never_decreases(spec, core, pads):
+    count = guarantee_shift(spec, pads) + PLATEAU_CONFIRM_SHIFTS + 2
+    values = shifted_multiplicities(spec, core, pads, count)
+    return all(a <= b for a, b in zip(values, values[1:])), values
+
+
+def test_padded_multiplicities_never_decrease_along_shifts():
+    # The theorem the bisection of stabilized_padded_multiplicity rests on,
+    # on every shift up to one past the confirmed tail.
+    for spec, core, pads in _stabilization_sweep():
+        ok, values = _never_decreases(spec, core, pads)
+        assert ok, (spec, core, pads, values)
+
+
+_GENERATORS = [g for m in range(6) for g in partitions_of(m)]
+_CORES = [core for size in range(5) for core in partitions_of(size)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4),
+    st.sampled_from(_GENERATORS),
+    st.sampled_from(_CORES),
+    st.lists(st.integers(0, 12), min_size=4, max_size=4),
+)
+def test_padded_multiplicities_never_decrease_with_unequal_pads(d, gen, core, pads):
+    pads = tuple(sorted(pads[:d], reverse=True))
+    ok, values = _never_decreases(FreeModuleSpec.of_irreducible(d, gen), core, pads)
+    assert ok, values
+
+
+def test_bisected_onset_matches_the_shift_walk():
+    runs = 0
+    for spec, core, pads in _stabilization_sweep():
+        runs += 1
+        expected = stabilize_by_walk(spec, core, pads)
+        assert stabilized_padded_multiplicity(spec, core, pads) == expected, (spec, core, pads)
+    assert runs == 3000
+
+
+def test_stabilization_probes_a_logarithmic_number_of_shifts(monkeypatch):
+    # guarantee_shift is 60: shift 0, the tail 60..64 and at most six
+    # bisection probes of 0..59 make 12 kernel calls, where a walk over
+    # every shift makes 65.
+    kernel, labels = free_modules._multiplicity, []
+
+    def counted(spec, label):
+        labels.append(label)
+        return kernel(spec, label)
+
+    monkeypatch.setattr(free_modules, "_multiplicity", counted)
+    spec = FreeModuleSpec.of_irreducible(1, (30,))
+    assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
+    assert len(labels) <= 12, labels
 
 
 def test_stabilized_rejects_pads_of_the_wrong_length():
