@@ -252,7 +252,7 @@ def padded_multiplicity(spec: FreeModuleSpec, core: Partition, pads: Sequence[in
     """Multiplicity of the padded representation core[pads] in its level.
     There must be exactly d pads; `pad` checks them as it checks every
     label's, and a label denoting the zero representation (shortest pad
-    below |core| + core_1) gives 0."""
+    below least_pad(core)) gives 0."""
     if len(pads) != checked_spec(spec).d:
         raise ValueError(f"pads must have length d = {spec.d}, got {len(pads)}")
     return _multiplicity(spec, pad(new_partition(core), pads))

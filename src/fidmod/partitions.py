@@ -107,13 +107,19 @@ def count_standard_tableaux(lam: Partition) -> int:
     return place(n)
 
 
+def least_pad(core: Partition) -> int:
+    """|core| + core_1, the least pad at which a padded label of core denotes
+    a non-zero representation (the first part of the empty partition is 0)."""
+    return sum(core) + (core[0] if core else 0)
+
+
 def pad(lam: Partition, pads: Iterable[int]) -> Partition | None:
     """The padded label lam[n_1, ..., n_r]: lam prefixed with rows of
     lengths n_i - |lam| (lam already a partition).  The one check of a
     label's pads: integers (else TypeError, never truncated), weakly
     decreasing (else UnsortedPads) and >= 0 (else ValueError).  None when
-    the shortest pad is below |lam| + lam_1 (the label denotes the zero
-    representation; the first part of the empty partition is 0)."""
+    the shortest pad is below least_pad(lam): the label denotes the zero
+    representation."""
     p = tuple(map(index, pads))
     if any(map(lt, p, p[1:])):
         raise UnsortedPads(f"pads must be weakly decreasing, got {p}")
@@ -121,10 +127,9 @@ def pad(lam: Partition, pads: Iterable[int]) -> Partition | None:
         return lam
     if p[-1] < 0:  # inline: `pad` runs once per probed shift
         raise ValueError(f"pads must be >= 0, got {p}")
-    size = sum(lam)
-    first = lam[0] if lam else 0
-    if p[-1] < size + first:
+    if p[-1] < least_pad(lam):
         return None
+    size = sum(lam)
     rows = tuple(x - size for x in p) + lam
     while rows and rows[-1] == 0:
         rows = rows[:-1]

@@ -27,6 +27,7 @@ a sum of binomials.  A Decomposition is checked where a caller builds one.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import ItemsView, Iterable, Mapping
 from functools import cache
 from operator import index
@@ -316,17 +317,11 @@ def first_row_cofactors(
 
 
 def clear_caches() -> None:
-    """Drop every memo table in fidmod (mainly for test isolation)."""
-    from . import characters  # characters imports this module
-
-    for table in (
-        _chain_counts,
-        _strips,
-        _interned,
-        bounded_chain_count,
-        first_row_cofactors,
-        characters.character_value,
-        characters._class_sizes,
-        characters._weighted_table,
-    ):
-        table.cache_clear()
+    """Empty every functools memo table found in the loaded fidmod modules
+    (mainly for test isolation), so a new table is cleared without being
+    named here; a module not yet imported has filled none."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == __package__:
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()

@@ -27,7 +27,7 @@ from .free_modules import (
     guarantee_shift,
     stabilized_padded_multiplicity,
 )
-from .partitions import Partition, checked_count, contains, multinomial, new_partition
+from .partitions import Partition, checked_count, contains, least_pad, multinomial, new_partition
 from .pieri import bareiss_eliminate, first_row_cofactors
 
 # `fractions` (which loads `decimal`) is imported inside the functions that
@@ -42,10 +42,6 @@ class NoExactFit(ValueError):
 
 class InsufficientPoints(ValueError):
     """Window too small for the requested fit plus validation."""
-
-
-class NotFree(TypeError):
-    """Stability verification is only implemented for free module specs."""
 
 
 def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -225,12 +221,11 @@ def multiplicity_series(
     first part exceeds n - |lam| is skipped, since lam[n] does not contain
     it; for every other one each offset j - mu_j (columns from 0) is at
     least minus that first part, so every h argument is >= 0.  Each degree
-    is checked as a count; below |lam| + lam_1 the label denotes the zero
+    is checked as a count; below least_pad(lam) the label denotes the zero
     representation and c is 0.
     """
     spec, lam = checked_spec(spec), new_partition(lam)
-    size, lower_index = sum(lam), spec.d - 1
-    least = size + (lam[0] if lam else 0)
+    size, lower_index, least = sum(lam), spec.d - 1, least_pad(lam)
     expansions = []
     for mu, weight in spec.generator.unordered_items():
         # A mu that no label lam[n] contains is skipped before the memoized
@@ -268,12 +263,11 @@ def default_multiplicity_window(
     spec: FreeModuleSpec, lam: Partition, degree_bound: int
 ) -> list[int]:
     """Window for multiplicity fitting.  The start additionally skips
-    |lam| + lam_1 degrees: multiplicities of short padded families settle
+    least_pad(lam) degrees: multiplicities of short padded families settle
     only after the first row of the padded shape dominates."""
     spec, lam = checked_spec(spec), new_partition(lam)
     degree_bound = checked_count(degree_bound, "degree bound")
-    first = lam[0] if lam else 0
-    start = spec.m + sum(lam) + first + spec.d * (degree_bound + 1)
+    start = spec.m + least_pad(lam) + spec.d * (degree_bound + 1)
     return list(range(start, start + degree_bound + 5))
 
 
@@ -328,9 +322,9 @@ def verify_stability(
     term per class of rearrangements, accounting for the whole level n + 1.
     Plateaus come from stabilized_padded_multiplicity on every probe; an
     onset never exceeds its guarantee shift (it is bisected below it).
+    A spec that is not a FreeModuleSpec raises TypeError (checked_spec).
     """
-    if not isinstance(spec, FreeModuleSpec):
-        raise NotFree(f"expected a FreeModuleSpec, got {type(spec).__name__}")
+    spec = checked_spec(spec)
     degs = tuple(sorted({checked_count(n, "degree") for n in degrees}))
 
     dim_witness = all(dim_at(spec, n) <= spec.d * dim_at(spec, n + 1) for n in degs)

@@ -145,7 +145,6 @@ def test_every_namespace_name_that_takes_one_is_covered():
 )
 def test_every_name_refuses_a_spec_of_another_type(name, bad):
     # A str used to raise AttributeError from the first attribute read.
-    # verify_stability raises NotFree, a TypeError.
     with pytest.raises(TypeError, match=f"expected a FreeModuleSpec, got {type(bad).__name__}"):
         TAKES_A_SPEC[name](bad)
 

@@ -50,9 +50,10 @@ def test_trivial_and_sign_characters():
         assert character_value((1, 1, 1, 1), rho) == (-1) ** (4 - len(rho))
 
 
-def test_character_value_rejects_a_cycle_type_of_another_size():
-    with pytest.raises(ValueError, match="size mismatch"):
-        character_value((2, 1), (2, 2))
+def test_class_function_refuses_cycle_types_of_another_size():
+    # character_value trusts its sizes: outside cycle types enter here.
+    with pytest.raises(ValueError, match="must cover every cycle type"):
+        ClassFunction(3, dict.fromkeys(partitions_of(4), 1))
 
 
 def test_standard_character_s3():

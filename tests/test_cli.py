@@ -617,7 +617,7 @@ def test_oracle_scan_compares_every_ordering(monkeypatch, bad):
     }
 
 
-@pytest.mark.parametrize("max_total, cases, characters", [(6, 605, 127), (7, 1061, 219)])
+@pytest.mark.parametrize("max_total, cases, characters", [(6, 605, 127), (7, 1061, 219), (8, 1793, 366)])
 def test_oracle_scan_builds_each_character_once(monkeypatch, max_total, cases, characters):
     calls = Counter()
 

@@ -79,6 +79,27 @@ def test_every_package_name_is_used_or_supported():
     assert unused == set(KEPT_UNUSED)
 
 
+#: Modules on the production path; the character oracle only checks them.
+KERNEL_MODULES = ("partitions", "pieri", "free_modules", "stability")
+
+
+def _imports(path):
+    """Last dotted part of every module and name that a source file imports,
+    in function bodies too."""
+    return {
+        name.rpartition(".")[2]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+    }
+
+
+def test_no_kernel_module_imports_the_character_oracle():
+    src = ROOT / "src" / "fidmod"
+    importers = [name for name in KERNEL_MODULES if "characters" in _imports(src / f"{name}.py")]
+    assert importers == []
+
+
 def test_bench_tracer_installs_on_bare_import():
     # A fresh interpreter: `fidmod.cli`, once imported by another test,
     # would hold bindings that the package namespace may have lost.

@@ -15,6 +15,7 @@ from fidmod.partitions import (
     contains,
     count_standard_tableaux,
     dim_irreducible,
+    least_pad,
     multinomial,
     new_partition,
     pad,
@@ -86,6 +87,12 @@ def test_pad_examples():
     assert pad((2, 1), (4,)) is None
     assert pad((), ()) == ()
     assert pad((), (0,)) == ()
+    # The label denotes the zero representation exactly below |core| + core_1.
+    for core in (core for size in range(7) for core in partitions_of(size)):
+        least = sum(core) + (core[0] if core else 0)
+        assert least_pad(core) == least
+        for t in range(least + 3):
+            assert (pad(core, (t,)) is None) == (t < least), (core, t)
 
 
 def test_pad_rejects_unsorted():

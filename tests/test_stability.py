@@ -12,7 +12,6 @@ from fidmod.stability import (
     ExponentialPolynomial,
     InsufficientPoints,
     NoExactFit,
-    NotFree,
     RationalPolynomial,
     default_dims_window,
     default_multiplicity_window,
@@ -352,11 +351,25 @@ def test_catalan_identity(n):
     assert (n + 1) * dim_irreducible(pad((), (n, n))) == math.comb(2 * n, n)
 
 
+def _least_pads():
+    """(core, |core| + core_1) for every core of size <= 6."""
+    return [
+        (core, size + (core[0] if core else 0))
+        for size in range(7)
+        for core in partitions_of(size)
+    ]
+
+
 def test_default_windows():
     m0 = FreeModuleSpec.regular(2, 0)
     assert default_dims_window(m0, 0) == list(range(2, 9))
     assert default_multiplicity_window(m0, (), 1) == list(range(4, 10))
     assert default_multiplicity_window(m0, (3,), 1) == list(range(10, 16))
+    for spec in (m0, FreeModuleSpec.of_irreducible(3, (2, 1))):
+        for core, least in _least_pads():
+            for bound in range(3):
+                window = default_multiplicity_window(spec, core, bound)
+                assert window[0] == spec.m + least + spec.d * (bound + 1), (spec, core)
 
 
 def test_verify_stability_reports():
@@ -411,11 +424,6 @@ def test_generation_witness_sums_classes_not_compositions():
     assert report.generation.dimensions_accounted
 
 
-def test_verify_stability_rejects_non_free():
-    with pytest.raises(NotFree):
-        verify_stability(object(), [], range(3))
-
-
 def test_exponential_polynomial_evaluate():
     ep = ExponentialPolynomial(
         (RationalPolynomial.of([1]), RationalPolynomial.of([0, Fraction(1, 2)]))
@@ -433,13 +441,14 @@ def _sweep_specs(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_series_matches_one_determinant_per_degree(d):
     # The first-row expansion against the determinant route, which builds the
-    # whole Jacobi-Trudi matrix of each padded label (bounded_chain_count).
-    cores = [core for size in range(5) for core in partitions_of(size)]
+    # whole Jacobi-Trudi matrix of each padded label (bounded_chain_count),
+    # and 0 below |core| + core_1, where (n - |core|, *core) is no partition.
     for spec in _sweep_specs(d):
-        for core in cores:
+        for core, least in _least_pads():
             series = multiplicity_series(spec, core, range(22))
             for n, value in series.items():
-                assert value == _multiplicity(spec, pad(core, (n,))), (spec, core, n)
+                expected = 0 if n < least else _multiplicity(spec, pad(core, (n,)))
+                assert value == expected, (spec, core, n)
 
 
 @st.composite
