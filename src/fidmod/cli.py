@@ -6,7 +6,8 @@ its exit code and its answer as text, and `main` alone writes that text, so
 nothing reaches stdout when a command raises.  Exit codes: 0 success, 2 usage
 or parse error (including a generator, determinant or fit past a MAX_* bound,
 refused before the work it bounds), 3 no exact fit, 4 internal invariant
-breach (including a non-constant stabilization tail).
+breach (including a stabilization whose guarantee shift misses the
+closed-form plateau).
 """
 
 from __future__ import annotations
@@ -53,15 +54,17 @@ MAX_FIT_WORK = 10**14
 #: Largest k in --gen "M(k)" and degree of a partition-literal --gen.  2-CPU host,
 #: as a process: `stabilize` with M(40) (37,338 constituents) at d = 2, pads 0,0
 #: takes 0.6 s and 27 MB, building M(40) most of it; [10000] there (guarantee
-#: shift 20,000, about 20 shifts probed) takes 0.07 s and 15 MB, start-up most
-#: of it.
+#: shift 20,000, 16 shifts probed) takes 0.07 s and 15 MB, start-up most of
+#: it.
 MAX_REGULAR_DEGREE = 40
 MAX_GENERATOR_DEGREE = 10_000
 #: Largest --d, and most rows len(core) + d, of the Jacobi-Trudi determinants,
 #: with binomial entries that grow with d, of the two commands that take a core.
 #: 2-CPU host, as a process:
 #:  - `stabilize` builds one determinant of len(core) + d rows per probed shift,
-#:    about log2(guarantee shift) + 6 of them.  With --gen "[10000]" and the
+#:    about log2(guarantee shift) + 2 of them, and for the closed-form plateau
+#:    one of at most d - 1 rows and one of at most len(core) + d rows per
+#:    generator constituent that can reach the core.  With --gen "[10000]" and the
 #:    shortest pads (guarantee shift ~20,000) it takes 0.07 s, start-up most
 #:    of it, with --lambda "[]" at d = 7, [1^12] at d = 2 (14 rows) and [1^7]
 #:    at d = 7; past the bounds the library takes 0.06 s with [] at d = 10

@@ -9,9 +9,10 @@ products over each composition's prefix into one table per last part and
 add that last strip as counts per (leading block, memoized tail strip),
 joined into the level's table once per distinct pair, without memoizing
 it; targeted multiplicities are Jacobi-Trudi determinants.  A padded
-multiplicity never decreases as its pads shift up together (the proof is
-at stabilized_padded_multiplicity), so a stabilization computes the
-plateau past its guarantee shift and finds the onset by bisection.  Public
+multiplicity never decreases as its pads shift up together, and its
+plateau has a closed form in GL_d dimensions (both proofs are at
+stabilized_padded_multiplicity), so a stabilization checks the guarantee
+shift against that formula and finds the onset by bisection.  Public
 functions check their arguments once, on entry; their loops call the
 unchecked kernel _multiplicity on labels that `pad` has built.
 """
@@ -39,12 +40,9 @@ class NotContained(ValueError):
 
 
 class NoStabilization(RuntimeError):
-    """Multiplicities past guarantee_shift are not constant: for a free
-    module that breaks the stability property, an internal invariant."""
-
-
-#: Shifts examined beyond the guaranteed stability point to confirm a plateau.
-PLATEAU_CONFIRM_SHIFTS = 4
+    """The multiplicity at guarantee_shift differs from the closed-form
+    plateau.  The two are proved equal for every free module, so this is an
+    internal invariant breach: a fault in the multiplicity kernel."""
 
 
 class FreeModuleSpec:
@@ -290,26 +288,64 @@ def stabilized_padded_multiplicity(
     the map is an injection into the LR tableaux of nu+/mu of content
     kappa + 1^d, and s_{kappa + 1^d}(1^d) = s_kappa(1^d).
 
+    The plateau is s_delta(1^d) * sum_mu w_mu s_{mu/lam}(1^d), where
+    base_pads = (p_1 >= ... >= p_d) and delta is the partition of the
+    non-zero p_i - p_d; s_kappa(1^d) is the dimension of the irreducible
+    polynomial GL_d-module V_kappa (Fulton ch. 8), and both factors are
+    bounded_chain_count values.  Let L = p_d + l - |lam|, so that
+    nu = (nu', lam) with pad rows nu' = L^d + delta above lam, and every
+    mu has |mu| = m.  A column of nu/mu longer than d makes s_{nu/mu}(1^d)
+    0, so only mu containing lam count, on both sides; let |lam| <= m.
+     1. As above, s_{nu/mu}(1^d) = sum_kappa c^nu_{kappa mu} s_kappa(1^d)
+        over kappa with at most d rows (Macdonald I.5 and I.9).
+     2. A kappa with c^nu_{kappa mu} != 0 lies in nu, hence in nu', and
+        |kappa| = |nu| - m.  Its first d - 1 rows hold at most
+        |nu'| - L boxes, so kappa_d >= L - m + |lam|.
+     3. Let L >= m - |lam| + lam_1.  Then kappa_d >= lam_1, so nu/kappa is
+        nu'/kappa in rows 1..d, right of column kappa_d, and lam below
+        them in columns 1..lam_1: no row or column in common.  The skew
+        Schur function of such a shape is the product over its pieces, so
+        s_{nu/kappa} = s_{nu'/kappa} s_lam and, taking the coefficient of
+        s_mu, c^nu_{kappa mu} = sum_rho c^{nu'}_{kappa rho} c^mu_{lam rho}.
+     4. Summing step 1 over kappa by step 3 gives s_{nu/mu}(1^d) =
+        sum_rho c^mu_{lam rho} s_{nu'/rho}(1^d).  (Every kappa with
+        c^{nu'}_{kappa rho} c^mu_{lam rho} != 0 has |kappa| = |nu| - m
+        and lies in nu', so step 2's bound covers the whole sum.)
+     5. s_{nu'/rho}(1^d) = sum_kappa c^{nu'}_{rho kappa} dim V_kappa, and
+        c^{nu'}_{rho kappa} is the multiplicity of V_kappa in
+        V_rho* (x) V_nu'.  V_nu' = det^L (x) V_delta, and V_rho* (x) det^L
+        is V_(L - rho_d, ..., L - rho_1), polynomial once L >= rho_1.  Then
+        every constituent of V_rho* (x) V_nu' is polynomial and
+        s_{nu'/rho}(1^d) = dim V_rho * dim V_delta = s_rho(1^d) s_delta(1^d)
+        (both sides 0 when rho has more than d rows).  Every rho of step 4
+        lies in mu, so L >= mu_1 suffices.
+     6. Summing over rho, sum_rho c^mu_{lam rho} s_rho(1^d) =
+        s_{mu/lam}(1^d), so c(l) = s_delta(1^d) sum_mu w_mu s_{mu/lam}(1^d)
+        once L >= m - |lam| + lam_1 and L >= mu_1 for every constituent mu.
+    c(l) therefore reaches the formula for all large l, and it is constant
+    from guarantee_shift on (the stability property), so c(guarantee_shift)
+    equals the formula; a mismatch is a kernel fault and raises
+    NoStabilization.  s_{mu/lam}(1^d) is 0 unless lam <= mu <=
+    (m^d, lam) (no column of mu/lam longer than d), and constituents outside
+    that range are skipped before the memoized call.
+
     Shift 0 checks lam and the pads (padded_multiplicity); every other shift
-    goes to the kernel.  Shifts guarantee_shift..guarantee_shift +
-    PLATEAU_CONFIRM_SHIFTS give the stable value; a non-constant tail there
-    would falsify the stability property and raises NoStabilization.  By
-    the monotonicity the onset is then the first shift below guarantee_shift
-    at the stable value, found by bisection in about log2(guarantee_shift)
-    shifts.
+    goes to the kernel.  By the monotonicity the onset is the first shift
+    below guarantee_shift at the stable value, found by bisection in about
+    log2(guarantee_shift) shifts.
     """
     lam, pads = tuple(lam), tuple(base_pads)
     start = padded_multiplicity(spec, lam, pads)
-    guarantee = guarantee_shift(spec, pads)
+    guarantee, d = guarantee_shift(spec, pads), spec.d
     def c(l: int) -> int:
         return _multiplicity(spec, pad(lam, tuple(p + l for p in pads))) if l else start
-    shifts = range(guarantee, guarantee + PLATEAU_CONFIRM_SHIFTS + 1)
-    tail = [c(l) for l in shifts]
-    stable = tail[0]
-    if any(v != stable for v in tail):
-        raise NoStabilization(
-            f"multiplicities {tail} at shifts {shifts[0]}..{shifts[-1]} are not constant; "
-            "this contradicts the stability property for free modules"
-        )
+    delta = tuple(p - pads[-1] for p in pads if p > pads[-1])
+    box = (spec.m,) * d + lam  # s_{mu/lam}(1^d) is 0 unless lam <= mu <= box
+    stable = bounded_chain_count((), delta, d) * sum(
+        weight * bounded_chain_count(lam, mu, d)
+        for mu, weight in spec.generator.items() if contains(mu, lam) and contains(box, mu)
+    )
+    if (top := c(guarantee)) != stable:
+        raise NoStabilization(f"multiplicity {top} at shift {guarantee}, plateau {stable}")
     onset = bisect_left(range(guarantee), True, key=lambda l: c(l) == stable)
     return StabilizationResult(stable, onset)

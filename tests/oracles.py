@@ -11,8 +11,8 @@ counts cross-check `pieri_product` and, summed over compositions,
 `bounded_chain_count`; the filling count cross-checks the chain counts;
 the induced characters cross-check `characters.induce_trivial_product`;
 the rational interpolation cross-checks the fraction-free fits of
-`stability`; the shift walk cross-checks the bisected onsets of
-`free_modules.stabilized_padded_multiplicity`.
+`stability`; the shift walk cross-checks the bisected onsets and the
+closed-form plateaus of `free_modules.stabilized_padded_multiplicity`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Iterator, Sequence
 
 from fidmod.characters import ClassFunction, character_value
 from fidmod.free_modules import (
-    PLATEAU_CONFIRM_SHIFTS,
     FreeModuleSpec,
     NoStabilization,
     StabilizationResult,
@@ -206,12 +205,13 @@ def shifted_multiplicities(
 def stabilize_by_walk(
     spec: FreeModuleSpec, core: Partition, base_pads: Sequence[int]
 ) -> StabilizationResult:
-    """Stabilization without the monotonicity: every shift 0..guarantee_shift
-    + PLATEAU_CONFIRM_SHIFTS, a tail that must be constant from
-    guarantee_shift, and the onset found by walking down from it while the
-    value stays at the stable one."""
+    """Stabilization without the monotonicity or the closed-form plateau:
+    every shift 0..guarantee_shift + 4, a tail that must be constant from
+    guarantee_shift (its first value is the stable one), and the onset
+    found by walking down from it while the value stays at the stable one."""
+    tail = 4  # shifts past guarantee_shift that must agree with it
     guarantee = guarantee_shift(spec, base_pads)
-    values = shifted_multiplicities(spec, core, base_pads, guarantee + PLATEAU_CONFIRM_SHIFTS + 1)
+    values = shifted_multiplicities(spec, core, base_pads, guarantee + tail + 1)
     stable = values[guarantee]
     if any(v != stable for v in values[guarantee:]):
         raise NoStabilization(f"multiplicities {values} past shift {guarantee} are not constant")

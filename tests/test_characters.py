@@ -150,10 +150,14 @@ def test_decompose_mixed_character():
 
 
 def test_decompose_rejects_non_characters():
-    with pytest.raises(NotACharacter):
+    with pytest.raises(NotACharacter, match="inner product"):
         decompose(ClassFunction(2, {(1, 1): 1, (2,): -1000}))
-    with pytest.raises(NotACharacter):
+    with pytest.raises(NotACharacter, match="inner product"):
         decompose(ClassFunction(2, {(1, 1): 1, (2,): 0}))  # half of regular: not integral
+    # chi^(2) - chi^(1,1): its dimension 1 - 1 = 0 adds up, so only the sign
+    # of an inner product refuses it.
+    with pytest.raises(NotACharacter, match="inner product"):
+        decompose(ClassFunction(2, {(1, 1): 0, (2,): 2}))
 
 
 def test_class_function_must_cover_all_classes():

@@ -154,7 +154,7 @@ def test_stabilize_trivial_d1(capsys):
 
 def test_stabilize_runs_to_the_structural_bound(capsys):
     # guarantee_shift is 30 + 30 - 0 = 60: the plateau from shift 30 is
-    # confirmed on shifts 60..64.
+    # checked at shift 60 against its closed form.
     code, out, _ = run_cli(
         capsys, "stabilize", "--d", "1", "--gen", "[30]", "--lambda", "[]", "--pads", "0"
     )
@@ -176,11 +176,10 @@ def test_stabilize_at_the_generator_degree_bound(capsys):
     )
 
 
-def test_stabilize_non_constant_tail_exit_4(capsys, monkeypatch):
-    # A tail that keeps changing past guarantee_shift breaks the stability
-    # property of free modules: an invariant breach, not "no exact fit".
-    # Every probed shift reaches the unchecked kernel, which sees the padded
-    # label (l,) at shift l.
+def test_stabilize_kernel_fault_exit_4(capsys, monkeypatch):
+    # A kernel that answers the size of the padded label, (l,) at shift l,
+    # gives 2 at guarantee_shift 2, not the closed-form plateau 1: an
+    # invariant breach, not "no exact fit".
     monkeypatch.setattr("fidmod.free_modules._multiplicity", lambda spec, label: sum(label))
     code, out, err = run_cli(
         capsys, "stabilize", "--d", "1", "--gen", "[1]", "--lambda", "[]", "--pads", "0"
@@ -682,6 +681,10 @@ def test_fit_work_bound_sits_between_the_measured_cases():
     cli._check_fit_work(MAX_DEGREE, 4, 3)
     with pytest.raises(ValueError, match="too large"):
         cli._check_fit_work(MAX_DEGREE, 8, 4)
+    # The bound is inclusive: 100 unknowns (d = 2, degree bound 49) up to
+    # degree 2 sit on 49 * 2 + 2 = 100-bit entries, work exactly 100^5 * 100^2.
+    assert 100**5 * 100**2 == cli.MAX_FIT_WORK
+    cli._check_fit_work(2, 2, 50)
 
 
 def test_fit_window_above_bound_exit_2(capsys):

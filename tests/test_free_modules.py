@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fidmod import free_modules
 from fidmod.free_modules import (
-    PLATEAU_CONFIRM_SHIFTS,
     FreeModuleSpec,
+    NoStabilization,
     NotContained,
     _composition_classes,
     constituent_multiplicity,
@@ -320,8 +320,8 @@ def test_stabilized_onset_and_value_for_delayed_case():
 
 
 def test_stabilized_runs_to_the_structural_bound():
-    # guarantee_shift is 60: the plateau starts at shift 30 and is confirmed
-    # on shifts 60..64.
+    # guarantee_shift is 60: the plateau starts at shift 30, and shift 60
+    # matches the closed form s_()(1^1) * s_(30)(1^1) = 1.
     spec = FreeModuleSpec.of_irreducible(1, (30,))
     assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
 
@@ -347,14 +347,14 @@ def _stabilization_sweep():
 
 
 def _never_decreases(spec, core, pads):
-    count = guarantee_shift(spec, pads) + PLATEAU_CONFIRM_SHIFTS + 2
+    count = guarantee_shift(spec, pads) + 6
     values = shifted_multiplicities(spec, core, pads, count)
     return all(a <= b for a, b in zip(values, values[1:])), values
 
 
 def test_padded_multiplicities_never_decrease_along_shifts():
     # The theorem the bisection of stabilized_padded_multiplicity rests on,
-    # on every shift up to one past the confirmed tail.
+    # on every shift up to guarantee_shift + 5.
     for spec, core, pads in _stabilization_sweep():
         ok, values = _never_decreases(spec, core, pads)
         assert ok, (spec, core, pads, values)
@@ -378,6 +378,9 @@ def test_padded_multiplicities_never_decrease_with_unequal_pads(d, gen, core, pa
 
 
 def test_bisected_onset_matches_the_shift_walk():
+    # The walk reads the plateau off five computed shifts, so it checks the
+    # closed-form value as well as the bisected onset; the raised and
+    # staircase pads give non-empty delta.
     runs = 0
     for spec, core, pads in _stabilization_sweep():
         runs += 1
@@ -387,9 +390,9 @@ def test_bisected_onset_matches_the_shift_walk():
 
 
 def test_stabilization_probes_a_logarithmic_number_of_shifts(monkeypatch):
-    # guarantee_shift is 60: shift 0, the tail 60..64 and at most six
-    # bisection probes of 0..59 make 12 kernel calls, where a walk over
-    # every shift makes 65.
+    # guarantee_shift is 60: shift 0, shift 60 (checked against the closed
+    # form) and at most six bisection probes of 0..59 make 8 kernel calls,
+    # where a walk over every shift makes 61.
     kernel, labels = free_modules._multiplicity, []
 
     def counted(spec, label):
@@ -399,7 +402,17 @@ def test_stabilization_probes_a_logarithmic_number_of_shifts(monkeypatch):
     monkeypatch.setattr(free_modules, "_multiplicity", counted)
     spec = FreeModuleSpec.of_irreducible(1, (30,))
     assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
-    assert len(labels) <= 12, labels
+    assert len(labels) <= 8, labels
+
+
+def test_a_wrong_kernel_raises_no_stabilization(monkeypatch):
+    # The true answer is (2, 0).  A kernel one too high on every label
+    # gives 3 at guarantee_shift (0 here), not the closed-form plateau 2.
+    kernel = free_modules._multiplicity
+    monkeypatch.setattr(free_modules, "_multiplicity", lambda spec, label: kernel(spec, label) + 1)
+    spec = FreeModuleSpec.of_irreducible(2, (1,))
+    with pytest.raises(NoStabilization, match="plateau 2"):
+        stabilized_padded_multiplicity(spec, (), (2, 2))
 
 
 def test_stabilized_rejects_pads_of_the_wrong_length():
