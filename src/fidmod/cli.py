@@ -22,7 +22,6 @@ from .free_modules import (
     FreeModuleSpec,
     decompose_at,
     dim_at,
-    guarantee_shift,
     stabilized_padded_multiplicity,
 )
 from .characters import decompose, induce_trivial_product
@@ -201,16 +200,16 @@ def cmd_stabilize(args: argparse.Namespace) -> tuple[int, str]:
     pads = _parse_pads(args.pads)
     pad(lam, pads)  # the pads' rules, before the generator is built
     spec = build(args.d)
-    value, onset = stabilized_padded_multiplicity(spec, lam, pads)
+    result = stabilized_padded_multiplicity(spec, lam, pads)
     payload = {
         "command": "stabilize",
         "d": args.d,
         "generator": args.gen,
         "lambda": list(lam),
         "base_pads": list(pads),
-        "value": str(value),
-        "onset": onset,
-        "guarantee_shift": guarantee_shift(spec, pads),
+        "value": str(result.value),
+        "onset": result.onset,
+        "guarantee_shift": result.guarantee_shift,
     }
     rows = [(key, payload[key]) for key in ("value", "onset", "guarantee_shift")]
     return EXIT_OK, _render(args, payload, rows)

@@ -13,8 +13,10 @@ multiplicity never decreases as its pads shift up together, and its
 plateau has a closed form in GL_d dimensions (both proofs are at
 stabilized_padded_multiplicity), so a stabilization checks the guarantee
 shift against that formula and finds the onset by bisection.  Public
-functions check their arguments once, on entry; their loops call the
-unchecked kernel _multiplicity on labels that `pad` has built.
+functions check their arguments once, on entry, and their loops call the
+unchecked kernel _multiplicity: a stabilization checks its core and pads
+once, through `pad` at shift 0, and builds every other probe's label by
+shifting the pad rows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .partitions import (
     checked_count,
     contains,
     dim_irreducible,
+    least_pad,
     new_partition,
     pad,
     partitions_of,
@@ -251,21 +254,36 @@ def padded_multiplicity(spec: FreeModuleSpec, core: Partition, pads: Sequence[in
     There must be exactly d pads; `pad` checks them as it checks every
     label's, and a label denoting the zero representation (shortest pad
     below least_pad(core)) gives 0."""
+    return _multiplicity(spec, _padded(spec, new_partition(core), pads))
+
+
+def _padded(spec: FreeModuleSpec, core: Partition, pads: Sequence[int]) -> Partition | None:
+    """pad(core, pads) for a checked core, once spec is checked and there
+    are exactly d pads."""
     if len(pads) != checked_spec(spec).d:
         raise ValueError(f"pads must have length d = {spec.d}, got {len(pads)}")
-    return _multiplicity(spec, pad(new_partition(core), pads))
+    return pad(core, pads)
 
 
 class StabilizationResult(NamedTuple):
+    """The multiplicities of core[base_pads + l] equal `value` for every
+    shift l >= onset; onset <= guarantee_shift, the structural bound at
+    which the value was checked against the closed-form plateau."""
+
+    core: Partition
+    base_pads: tuple[int, ...]
     value: int
     onset: int
+    guarantee_shift: int
 
 
 def guarantee_shift(spec: FreeModuleSpec, base_pads: Sequence[int]) -> int:
     """Shift bound: multiplicities of labels with pads base_pads + shift are
     constant once shortest pad + shift reaches (first part of a generator
-    constituent) + m, maximized over constituents."""
-    first = max(lam[0] if lam else 0 for lam in spec.generator.support())
+    constituent) + m, maximized over constituents.  items() is cached and
+    sorted in descending lexicographic order, so its first constituent has
+    the largest first part, which is also its largest part."""
+    first = max(spec.generator.items()[0][0], default=0)
     return max(0, spec.m + first - base_pads[-1])
 
 
@@ -329,16 +347,23 @@ def stabilized_padded_multiplicity(
     (m^d, lam) (no column of mu/lam longer than d), and constituents outside
     that range are skipped before the memoized call.
 
-    Shift 0 checks lam and the pads (padded_multiplicity); every other shift
+    Shift 0 checks lam and the pads (through `pad`); every other shift
     goes to the kernel.  By the monotonicity the onset is the first shift
     below guarantee_shift at the stable value, found by bisection in about
-    log2(guarantee_shift) shifts.
+    log2(guarantee_shift) shifts.  The result records lam as checked, the
+    pads as a tuple, and guarantee_shift.
     """
-    lam, pads = tuple(lam), tuple(base_pads)
-    start = padded_multiplicity(spec, lam, pads)
+    lam, pads = new_partition(lam), tuple(base_pads)
+    start = _multiplicity(spec, _padded(spec, lam, pads))
     guarantee, d = guarantee_shift(spec, pads), spec.d
+    rows, least = tuple(p - sum(lam) for p in pads), least_pad(lam)
     def c(l: int) -> int:
-        return _multiplicity(spec, pad(lam, tuple(p + l for p in pads))) if l else start
+        # Once p_d + l >= least_pad(lam), every pad row holds at least
+        # lam_1 boxes, and at least l >= 1 when lam is empty: no row is
+        # empty, so the shifted rows and lam need no trailing zero dropped.
+        if l and pads[-1] + l >= least:
+            return _multiplicity(spec, tuple(r + l for r in rows) + lam)
+        return 0 if l else start
     delta = tuple(p - pads[-1] for p in pads if p > pads[-1])
     box = (spec.m,) * d + lam  # s_{mu/lam}(1^d) is 0 unless lam <= mu <= box
     stable = bounded_chain_count((), delta, d) * sum(
@@ -348,4 +373,4 @@ def stabilized_padded_multiplicity(
     if (top := c(guarantee)) != stable:
         raise NoStabilization(f"multiplicity {top} at shift {guarantee}, plateau {stable}")
     onset = bisect_left(range(guarantee), True, key=lambda l: c(l) == stable)
-    return StabilizationResult(stable, onset)
+    return StabilizationResult(lam, pads, stable, onset, guarantee)

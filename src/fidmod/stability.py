@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .free_modules import (
     FreeModuleSpec,
+    StabilizationResult,
     _composition_classes,
     checked_spec,
     dim_at,
-    guarantee_shift,
     stabilized_padded_multiplicity,
 )
 from .partitions import Partition, checked_count, contains, least_pad, multinomial, new_partition
@@ -285,16 +285,6 @@ class GenerationReport(NamedTuple):
     dimensions_accounted: bool
 
 
-class PlateauReport(NamedTuple):
-    """Condition: shifted padded multiplicities are eventually constant."""
-
-    core: Partition
-    base_pads: tuple[int, ...]
-    value: int
-    onset: int
-    guarantee_shift: int
-
-
 class StabilityReport(NamedTuple):
     """Verdicts for injectivity and generation on a free module, and its
     measured plateaus, over explicitly listed degrees and probes only."""
@@ -302,7 +292,7 @@ class StabilityReport(NamedTuple):
     spec: FreeModuleSpec
     injectivity: InjectivityReport
     generation: GenerationReport
-    plateaus: tuple[PlateauReport, ...]
+    plateaus: tuple[StabilizationResult, ...]
 
     def all_hold(self) -> bool:
         return self.injectivity.dimension_witness and self.generation.dimensions_accounted
@@ -320,8 +310,9 @@ def verify_stability(
     morphisms); a dimension inequality is recorded as a numeric witness.
     Generation is recorded as the color-frequency orbit dimensions, one
     term per class of rearrangements, accounting for the whole level n + 1.
-    Plateaus come from stabilized_padded_multiplicity on every probe; an
-    onset never exceeds its guarantee shift (it is bisected below it).
+    The plateaus are the records stabilized_padded_multiplicity returns,
+    one per probe, in probe order; an onset never exceeds its guarantee
+    shift (it is bisected below it).
     A spec that is not a FreeModuleSpec raises TypeError (checked_spec).
     """
     spec = checked_spec(spec)
@@ -340,9 +331,5 @@ def verify_stability(
             accounted = False
     generation = GenerationReport(gen_degrees, accounted)
 
-    plateaus = []
-    for lam, base_pads in probes:
-        lam, pads = tuple(lam), tuple(base_pads)
-        value, onset = stabilized_padded_multiplicity(spec, lam, pads)
-        plateaus.append(PlateauReport(lam, pads, value, onset, guarantee_shift(spec, pads)))
-    return StabilityReport(spec, injectivity, generation, tuple(plateaus))
+    plateaus = tuple(stabilized_padded_multiplicity(spec, lam, pads) for lam, pads in probes)
+    return StabilityReport(spec, injectivity, generation, plateaus)

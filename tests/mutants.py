@@ -65,6 +65,14 @@ MUTANTS = [
     Mutant("guarantee-shift", "src/fidmod/free_modules.py",
            "    return max(0, spec.m + first - base_pads[-1])",
            "    return max(0, first - base_pads[-1])"),
+    Mutant("guarantee-first-part", "src/fidmod/free_modules.py",
+           "    first = max(spec.generator.items()[0][0], default=0)",
+           "    first = max(spec.generator.items()[-1][0], default=0)"),
+    Mutant("probe-zero-label", "src/fidmod/free_modules.py",
+           "        if l and pads[-1] + l >= least:", "        if l:"),
+    Mutant("probe-shift", "src/fidmod/free_modules.py",
+           "            return _multiplicity(spec, tuple(r + l for r in rows) + lam)",
+           "            return _multiplicity(spec, tuple(r + l + 1 for r in rows) + lam)"),
     Mutant("plateau-delta", "src/fidmod/free_modules.py",
            "    delta = tuple(p - pads[-1] for p in pads if p > pads[-1])",
            "    delta = tuple(p - pads[-1] for p in pads[1:] if p > pads[-1])"),

@@ -218,4 +218,4 @@ def stabilize_by_walk(
     onset = guarantee
     while onset > 0 and values[onset - 1] == stable:
         onset -= 1
-    return StabilizationResult(stable, onset)
+    return StabilizationResult(tuple(core), tuple(base_pads), stable, onset, guarantee)

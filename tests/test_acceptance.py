@@ -206,11 +206,9 @@ def test_c06_stabilization_onset_bound():
                     for nd in range(bound + 3):
                         for pads in set(_base_pad_shapes(d, nd)):
                             runs += 1
-                            value, onset = stabilized_padded_multiplicity(
-                                spec, lam, pads
-                            )
-                            if onset > max(0, bound - nd):
-                                failures.append((d, gen, lam, pads, value, onset))
+                            result = stabilized_padded_multiplicity(spec, lam, pads)
+                            if result.onset > max(0, bound - nd):
+                                failures.append((d, gen, lam, pads, result.value, result.onset))
     _verdict(
         "criterion 06 plateau onset within the structural bound",
         not failures,

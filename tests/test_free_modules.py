@@ -1,15 +1,18 @@
+import json
 import math
 import pickle
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fidmod import free_modules
+from fidmod import cli, free_modules
 from fidmod.free_modules import (
     FreeModuleSpec,
     NoStabilization,
     NotContained,
+    StabilizationResult,
     _composition_classes,
     constituent_multiplicity,
     decompose_at,
@@ -30,6 +33,7 @@ from fidmod.partitions import (
     partitions_of,
 )
 from fidmod.pieri import Decomposition, bounded_chain_count, pieri_product
+from fidmod.stability import verify_stability
 from oracles import partitions_in_box, shifted_multiplicities, stabilize_by_walk
 
 
@@ -303,27 +307,30 @@ def test_padded_multiplicity_wrong_pad_count():
 
 def test_stabilized_examples():
     spec = FreeModuleSpec.of_irreducible(2, (1,))
-    assert stabilized_padded_multiplicity(spec, (), (2, 2)) == (2, 0)
+    assert stabilized_padded_multiplicity(spec, (), (2, 2)) == StabilizationResult(
+        core=(), base_pads=(2, 2), value=2, onset=0, guarantee_shift=0
+    )
     m0 = FreeModuleSpec.regular(2, 0)
-    value, onset = stabilized_padded_multiplicity(m0, (), (1, 1))
-    assert value == 1
+    assert stabilized_padded_multiplicity(m0, (), (1, 1)).value == 1
     m0d1 = FreeModuleSpec.regular(1, 0)
-    assert stabilized_padded_multiplicity(m0d1, (), (0,)) == (1, 0)
+    result = stabilized_padded_multiplicity(m0d1, (), (0,))
+    assert (result.value, result.onset) == (1, 0)
 
 
 def test_stabilized_onset_and_value_for_delayed_case():
     # M(S^(2)) at d = 1 with base pad 0: levels 0 and 1 vanish, then the
     # trivial representation appears once forever.
     spec = FreeModuleSpec.of_irreducible(1, (2,))
-    value, onset = stabilized_padded_multiplicity(spec, (), (0,))
-    assert value == 1 and onset == 2
+    result = stabilized_padded_multiplicity(spec, (), (0,))
+    assert result.value == 1 and result.onset == 2
 
 
 def test_stabilized_runs_to_the_structural_bound():
     # guarantee_shift is 60: the plateau starts at shift 30, and shift 60
     # matches the closed form s_()(1^1) * s_(30)(1^1) = 1.
     spec = FreeModuleSpec.of_irreducible(1, (30,))
-    assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
+    result = stabilized_padded_multiplicity(spec, (), (0,))
+    assert (result.value, result.onset, result.guarantee_shift) == (1, 30, 60)
 
 
 def _stabilization_sweep():
@@ -401,8 +408,50 @@ def test_stabilization_probes_a_logarithmic_number_of_shifts(monkeypatch):
 
     monkeypatch.setattr(free_modules, "_multiplicity", counted)
     spec = FreeModuleSpec.of_irreducible(1, (30,))
-    assert stabilized_padded_multiplicity(spec, (), (0,)) == (1, 30)
+    result = stabilized_padded_multiplicity(spec, (), (0,))
+    assert (result.value, result.onset) == (1, 30)
     assert len(labels) <= 8, labels
+
+
+def _counted(monkeypatch, function):
+    """Replace every binding of `function` in the loaded fidmod modules with
+    a wrapper that records its calls; returns the list of their arguments."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fidmod" or name.startswith("fidmod."):
+            for binding, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, binding, counting)
+    return calls
+
+
+def test_a_stabilization_computes_its_guarantee_shift_once(monkeypatch, capsys):
+    # The CLI field and each verify_stability plateau read it from the
+    # record; they used to compute it a second time.
+    calls = _counted(monkeypatch, guarantee_shift)
+    argv = ["stabilize", "--d", "2", "--gen", "M(3)", "--lambda", "[]", "--pads", "1,1"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["guarantee_shift"] == 5
+    assert len(calls) == 1
+    calls.clear()
+    report = verify_stability(FreeModuleSpec.regular(2, 3), [((), (1, 1)), ((1,), (3, 3))], [])
+    assert [p.guarantee_shift for p in report.plateaus] == [5, 3]
+    assert len(calls) == 2
+
+
+def test_a_stabilization_pads_its_label_once(monkeypatch):
+    # Shift 0 checks the core and the pads through `pad`; the probes at
+    # shifts 4 (the guarantee shift), 2 and 1 shift the checked pad rows.
+    # Re-padding each probe made 4 calls here.
+    calls = _counted(monkeypatch, pad)
+    result = stabilized_padded_multiplicity(FreeModuleSpec.regular(3, 2), (), (0, 0, 0))
+    assert (result.value, result.onset, result.guarantee_shift) == (9, 2, 4)
+    assert calls == [((), (0, 0, 0))]
 
 
 def test_a_wrong_kernel_raises_no_stabilization(monkeypatch):
@@ -460,7 +509,7 @@ def test_onset_respects_proof_bound_pure_generators(d):
             for core in [(), (1,)]:
                 for nd in range(0, bound + 2):
                     pads = (nd,) * d
-                    value, onset = stabilized_padded_multiplicity(spec, core, pads)
+                    onset = stabilized_padded_multiplicity(spec, core, pads).onset
                     assert onset <= max(0, bound - nd), (gen, core, pads, onset)
 
 

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fidmod.free_modules import FreeModuleSpec, _multiplicity, decompose_at, dim_at
+from fidmod.free_modules import (
+    FreeModuleSpec,
+    _multiplicity,
+    decompose_at,
+    dim_at,
+    stabilized_padded_multiplicity,
+)
 from fidmod.partitions import dim_irreducible, pad, partitions_of
 from fidmod.pieri import Decomposition, bounded_chain_count, clear_caches, first_row_cofactors
 from oracles import interpolate_by_fractions
@@ -394,6 +400,20 @@ def test_verify_stability_reports():
     report = verify_stability(m0d1, [((), (0,))], range(0, 5))
     assert report.all_hold()
     assert report.plateaus[0].value == 1
+
+
+def test_verify_stability_plateaus_are_the_stabilization_records():
+    spec = FreeModuleSpec.regular(2, 3)
+    probes = [((), (1, 1)), ([1], [3, 3]), ((2, 1), (6, 5))]
+    report = verify_stability(spec, probes, [])
+    assert report.plateaus == tuple(
+        stabilized_padded_multiplicity(spec, *probe) for probe in probes
+    )
+    # The record holds the checked core and the pads as a tuple.
+    assert (report.plateaus[1].core, report.plateaus[1].base_pads) == ((1,), (3, 3))
+    # At pads (6, 5), delta = (1) multiplies the plateau 2 of pads (6, 6)
+    # by s_(1)(1^2) = 2.
+    assert [p.value for p in report.plateaus] == [8, 12, 4]
 
 
 def test_reports_are_immutable():
