@@ -129,8 +129,7 @@ def _interned(lam: Partition) -> Partition:
 @cache
 def _strips(rows: Partition, boxes: int, cap: int) -> tuple[Partition, ...]:
     """Interned partitions obtained from `rows` by adding a horizontal strip
-    of `boxes` boxes, at most `cap` of them in the first row; descending
-    lexicographic order.
+    of `boxes` boxes, at most `cap` of them in the first row.
 
     Of the leading block of equal rows only the first row can take boxes
     (every other row takes at most its gap to the row above, here 0).  The
@@ -144,7 +143,10 @@ def _strips(rows: Partition, boxes: int, cap: int) -> tuple[Partition, ...]:
     if not boxes:
         return (_interned(rows),)
     if not rows:
-        return (_interned((boxes,)),) if boxes <= cap else ()
+        # The cap never binds here: a top-level call passes cap = boxes, and
+        # the call on an empty tail below passes min(rest, part) = rest,
+        # since extra >= boxes - part.
+        return (_interned((boxes,)),)
     part = rows[0]
     block = rows[: rows.count(part)]
     tail = rows[len(block) :]
@@ -170,11 +172,12 @@ def add_strips(
     interned or cached here.  The caller joins head + tail once per
     distinct pair, which many strips of many rows share; the join must sum,
     since one partition can arise under heads of two lengths.  Empty rows
-    give the head (boxes,), or () for no boxes, and the tail ().
+    give the head (boxes,) and the tail (): decompose_at returns early at
+    n <= m, so every last strip has at least one box.
     """
     for rows, count in pairs:
         if not rows:
-            sub = acc.setdefault((boxes,) if boxes else (), {})
+            sub = acc.setdefault((boxes,), {})
             sub[()] = sub.get((), 0) + count
             continue
         part = rows[0]
@@ -298,12 +301,10 @@ def first_row_cofactors(
     depends on top, so one memo entry serves a whole padded series.  mu is
     padded with zeros to 1 + len(core) rows; the cofactor of column j is
     (-1)^j times the minor of rows 1.. without column j, and its offset is
-    j - mu_j.  A mu of more than 1 + len(core) parts, or whose rows below
-    the first core does not contain, gives no pairs, since then no lam
-    contains mu.
+    j - mu_j.  Precondition: core contains mu[1:], so mu has at most
+    1 + len(core) parts; multiplicity_series skips every other mu, since no
+    lam contains it.
     """
-    if not contains(core, mu[1:]):
-        return ()
     size = 1 + len(core)
     inner = mu + (0,) * (size - len(mu))
     # Rows 1.. of the matrix: row 0 is left out, so the 0 standing for top is never read.

@@ -10,10 +10,11 @@ is an error, so the list cannot drift silently from the source.
 
 Run from the repository root (stdlib only; pytest collects no file here):
 
-    python tests/mutants.py            # every mutant, about 5 minutes
+    python tests/mutants.py            # every mutant, about 6 minutes
     python tests/mutants.py NAME ...   # the named mutants only
 
-Exit status 0 when every outcome is the expected one, 1 otherwise.
+Exit status 0 when every outcome is the expected one, 1 otherwise, and 2
+for a name that is no mutant, on the command line or in EQUIVALENT.
 """
 
 from __future__ import annotations
@@ -57,9 +58,37 @@ MUTANTS = [
     Mutant("jacobi-trudi-entry", "src/fidmod/pieri.py",
            "         if (k := lam[i] - inner[j] - i + j) >= 0 else 0",
            "         if (k := lam[i] - inner[j] - i + j) > 0 else 0"),
-    # free_modules: specs, the kernel and the stabilization
+    Mutant("cofactor-sign", "src/fidmod/pieri.py",
+           "pairs.append((-cofactor if j % 2 else cofactor, j - inner[j]))",
+           "pairs.append((cofactor, j - inner[j]))"),
+    # pieri: the strip kernel, pinned only through public answers
+    Mutant("strips-cap", "src/fidmod/pieri.py",
+           "    for extra in range(min(boxes, cap), ", "    for extra in range(boxes, "),
+    Mutant("strips-floor", "src/fidmod/pieri.py",
+           "range(min(boxes, cap), max(boxes - part, 0) - 1, -1)",
+           "range(min(boxes, cap), max(boxes - part, 0), -1)"),
+    Mutant("add-strips-floor", "src/fidmod/pieri.py",
+           "range(boxes, max(boxes - part, 0) - 1, -1)", "range(boxes, max(boxes - part, 0), -1)"),
+    Mutant("add-strips-sum", "src/fidmod/pieri.py",
+           "                sub[lam] = sub.get(lam, 0) + count", "                sub[lam] = count"),
+    Mutant("add-strips-empty", "src/fidmod/pieri.py",
+           "            sub[()] = sub.get((), 0) + count", "            sub[()] = count"),
+    Mutant("add-strips-tail-cap", "src/fidmod/pieri.py",
+           "_strips(tail, rest, rest if rest < gap else gap)", "_strips(tail, rest, rest)"),
+    Mutant("chain-sum", "src/fidmod/pieri.py",
+           "            acc[lam] = acc.get(lam, 0) + count", "            acc[lam] = count"),
+    # free_modules: specs, the level kernel and the stabilization
     Mutant("zero-colors", "src/fidmod/free_modules.py",
            '        checked_count(d, "color count", 1)', '        checked_count(d, "color count")'),
+    Mutant("class-ways", "src/fidmod/free_modules.py",
+           "            ways //= math.factorial(parts.count(part))",
+           "            ways //= parts.count(part)"),
+    Mutant("rows-floor", "src/fidmod/free_modules.py",
+           "-(-total // rows) - 1, -1)", "-(-total // rows), -1)"),
+    Mutant("merge-scale", "src/fidmod/free_modules.py",
+           "            scale = weight * ways", "            scale = weight"),
+    Mutant("level-join-sum", "src/fidmod/free_modules.py",
+           "            acc[lam] = acc.get(lam, 0) + count", "            acc[lam] = count"),
     Mutant("pad-count", "src/fidmod/free_modules.py",
            "    if len(pads) != checked_spec(spec).d:", "    if len(pads) < checked_spec(spec).d:"),
     Mutant("guarantee-shift", "src/fidmod/free_modules.py",
@@ -84,7 +113,10 @@ MUTANTS = [
     # characters: the refusal of non-characters
     Mutant("inner-product", "src/fidmod/characters.py",
            "        if rem or mult < 0:", "        if rem:"),
-    # stability: the fit's own validation and the stability witnesses
+    # stability: the series' containment filter, the fit's own validation
+    # and the stability witnesses
+    Mutant("series-containment", "src/fidmod/stability.py",
+           "        if contains(lam, mu[1:]):", "        if True:"),
     Mutant("fit-validation", "src/fidmod/stability.py",
            "        if got != den * values[n]:", "        if False:"),
     Mutant("injectivity-witness", "src/fidmod/stability.py",
@@ -168,7 +200,12 @@ def run(mutant: Mutant | None, timeout: float = 600) -> Outcome:
 
 
 def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
+    names = {m.name for m in MUTANTS}
+    stray = set(EQUIVALENT) - names
+    if stray:
+        print(f"EQUIVALENT names no mutant: {sorted(stray)}", file=sys.stderr)
+        return 2
+    unknown = set(argv) - names
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 None of these is on the library's production path, so they live with the
 tests rather than in the package: a box enumerator for exhaustive sweeps,
-the strip-removal builder, the inverse of `pieri._strips`,
+the strip-removal builder, the inverse of adding a horizontal strip,
 per-composition strip-chain counts built from it, a brute-force count
 of column-strict skew fillings, induced characters summed over every
 element of a Young subgroup, exponential-polynomial interpolation over

@@ -13,7 +13,6 @@ from fidmod.free_modules import (
     NoStabilization,
     NotContained,
     StabilizationResult,
-    _composition_classes,
     constituent_multiplicity,
     decompose_at,
     dim_at,
@@ -150,21 +149,6 @@ def test_dimension_conservation_small():
                     assert decompose_at(spec, n).total_dimension() == dim_at(spec, n)
 
 
-@pytest.mark.parametrize(
-    "total, length", [(0, 1), (0, 3), (1, 1), (2, 5), (5, 1), (6, 2), (7, 3), (8, 4)]
-)
-def test_composition_classes_group_compositions(total, length):
-    classes = list(_composition_classes(total, length))
-    reps = [rep for rep, _ in classes]
-    assert len(set(reps)) == len(reps)
-    assert all(all(rep) for rep in reps)  # the zero padding is not yielded
-    grouped = Counter(
-        tuple(sorted(filter(None, a), reverse=True)) for a in compositions(total, length)
-    )
-    assert dict(classes) == grouped
-    assert sum(ways for _, ways in classes) == math.comb(total + length - 1, length - 1)
-
-
 def test_full_levels_match_determinant_kernel():
     for d in range(1, 5):
         for m in range(4):
@@ -179,10 +163,10 @@ def test_full_levels_match_determinant_kernel():
                         )
 
 
-def test_decompose_at_matches_the_sum_of_class_products():
+def test_decompose_at_matches_the_sum_over_every_composition():
     # decompose_at merges class prefixes and adds one last strip per part;
-    # the direct route sums ways * weight * pieri_product over every
-    # composition class and constituent.  Both must give the same items.
+    # the direct route sums weight * pieri_product over every ordered
+    # composition and constituent.  Both must give the same items.
     cases = 0
     for d in range(1, 6):
         specs = {FreeModuleSpec.regular(d, m) for m in range(5)}
@@ -192,10 +176,10 @@ def test_decompose_at_matches_the_sum_of_class_products():
         for spec in specs:
             for n in range(spec.m, (12 if d <= 3 else 9) + 1):
                 acc = Counter()
-                for parts, ways in _composition_classes(n - spec.m, d):
+                for a in compositions(n - spec.m, d):
                     for mu, weight in spec.generator.items():
-                        for lam, count in pieri_product(mu, parts).items():
-                            acc[lam] += ways * weight * count
+                        for lam, count in pieri_product(mu, a).items():
+                            acc[lam] += weight * count
                 level = decompose_at(spec, n)
                 assert level.items() == Decomposition(n, acc).items(), (spec, n)
                 cases += 1

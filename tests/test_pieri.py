@@ -23,51 +23,12 @@ from fidmod.pieri import (
     _bareiss_determinant,
     _chain_counts,
     _interned,
-    _strips,
-    add_strips,
     bounded_chain_count,
     clear_caches,
-    first_row_cofactors,
     pieri_product,
 )
+from fidmod.stability import multiplicity_series
 from oracles import chain_multiplicity, remove_horizontal_strip, skew_filling_count
-
-
-def test_add_horizontal_strip_examples():
-    assert set(_strips((1,), 1, 1)) == {(2,), (1, 1)}
-    assert set(_strips((2,), 2, 2)) == {(4,), (3, 1), (2, 2)}
-    assert _strips((3, 1), 0, 0) == ((3, 1),)
-    assert set(_strips((), 3, 3)) == {(3,)}
-
-
-def test_add_horizontal_strip_is_multiplicity_free_and_sorted():
-    for musize in range(5):
-        for mu in partitions_of(musize):
-            for a in range(4):
-                out = _strips(mu, a, a)
-                assert len(set(out)) == len(out)
-                assert list(out) == sorted(out, reverse=True)
-                for lam in out:
-                    assert sum(lam) == musize + a
-                    assert contains(lam, mu)
-                    # at most one new box per column
-                    assert all(
-                        lam[i + 1] <= mu[i] for i in range(len(lam) - 1) if i < len(mu)
-                    )
-                    assert len(lam) <= len(mu) + 1
-
-
-def test_remove_is_inverse_of_add():
-    for musize in range(5):
-        for mu in partitions_of(musize):
-            for a in range(4):
-                for lam in _strips(mu, a, a):
-                    assert mu in remove_horizontal_strip(lam, a)
-    for lamsize in range(1, 6):
-        for lam in partitions_of(lamsize):
-            for a in range(lamsize + 1):
-                for mu in remove_horizontal_strip(lam, a):
-                    assert lam in _strips(mu, a, a)
 
 
 def _is_horizontal_strip(lam, mu):
@@ -75,99 +36,6 @@ def _is_horizontal_strip(lam, mu):
     return contains(lam, mu) and all(
         lam[i + 1] <= (mu[i] if i < len(mu) else 0) for i in range(len(lam) - 1)
     )
-
-
-def test_add_horizontal_strip_matches_brute_force():
-    for musize in range(7):
-        for mu in partitions_of(musize):
-            for boxes in range(7):
-                expected = tuple(
-                    lam for lam in partitions_of(musize + boxes) if _is_horizontal_strip(lam, mu)
-                )
-                out = _strips(mu, boxes, boxes)
-                assert out == expected, (mu, boxes)
-                assert all(x > y for x, y in zip(out, out[1:]))
-
-
-def test_strips_match_brute_force_for_every_cap():
-    # _strips(rows, boxes, cap) puts at most `cap` boxes in the first row.
-    # Its memo serves tails of many partitions, and every partition it
-    # returns is interned: equal outputs of different calls are one tuple.
-    clear_caches()
-    seen = {}
-    for size in range(8):
-        for rows in partitions_of(size):
-            for boxes in range(8):
-                strips = [
-                    lam for lam in partitions_of(size + boxes) if _is_horizontal_strip(lam, rows)
-                ]
-                for cap in range(boxes + 1):
-                    expected = tuple(lam for lam in strips if sum(lam[:1]) - sum(rows[:1]) <= cap)
-                    out = _strips(rows, boxes, cap)
-                    assert out == expected, (rows, boxes, cap)
-                    for lam in out:
-                        assert seen.setdefault(lam, lam) is lam, (rows, boxes, cap, lam)
-
-
-def _joined(heads):
-    """The level table of an add_strips accumulator: head + tail summed."""
-    level = {}
-    for head, tails in heads.items():
-        for tail, count in tails.items():
-            level[head + tail] = level.get(head + tail, 0) + count
-    return level
-
-
-def _is_head_and_tail(head, tail):
-    """head is a leading block (its rows after the first are equal) and
-    head + tail is a partition."""
-    lam = head + tail
-    return len(set(head[1:])) <= 1 and all(x >= y for x, y in zip(lam, lam[1:]))
-
-
-def test_add_strips_matches_add_horizontal_strip():
-    # add_strips files each strip of rows under its leading block (the head)
-    # and a memoized tail strip, as acc[head][tail]; joined, the table equals
-    # _strips(rows, boxes, boxes) and the brute-force inverse
-    # remove_horizontal_strip.  Every partition of size <= 8 (the empty one
-    # included), 0..6 boxes, a count above 1, into an accumulator that
-    # already holds entries, and one partition with more rows than the
-    # recursion limit.
-    clear_caches()
-    cases = [rows for size in range(9) for rows in partitions_of(size)]
-    for rows in cases + [(3,) * 1200 + (1,) * 3]:
-        for boxes in range(7):
-            count = 2 + sum(rows) % 5
-            strips = _strips(rows, boxes, boxes)
-            acc = {(99,): {(): 1}}
-            add_strips(acc, [(rows, 5)], boxes)
-            add_strips(acc, [(rows, count)], boxes)
-            assert all(_is_head_and_tail(h, t) for h, tails in acc.items() for t in tails)
-            expected = {(99,): 1} | {lam: 5 + count for lam in strips}
-            assert _joined(acc) == expected, (rows[:4], len(rows), boxes)
-            if len(rows) <= 8:
-                brute = [
-                    lam
-                    for lam in partitions_of(sum(rows) + boxes)
-                    if rows in remove_horizontal_strip(lam, boxes)
-                ]
-                assert sorted(strips) == sorted(brute), (rows, boxes)
-    assert _joined({}) == {}
-    # One call over many pairs sums their strips, and the join sums a
-    # partition that two heads of different lengths reach: (3, 2, 1) is
-    # (3, 2) + (1,) from (2, 2) and (3,) + (2, 1) from (3, 1).
-    for boxes in (0, 2, 3):
-        pairs = [(rows, 2 + i) for i, rows in enumerate(cases)]
-        expected, acc = {}, {}
-        for rows, count in pairs:
-            for lam in _strips(rows, boxes, boxes):
-                expected[lam] = expected.get(lam, 0) + count
-        add_strips(acc, pairs, boxes)
-        assert _joined(acc) == expected, boxes
-    acc = {}
-    add_strips(acc, [((2, 2), 1), ((3, 1), 1)], 2)
-    assert acc[(3, 2)][(1,)] == acc[(3,)][(2, 1)] == 1
-    assert _joined(acc)[(3, 2, 1)] == 2
 
 
 def test_decompose_at_interns_no_partition_of_its_level():
@@ -327,43 +195,25 @@ def test_bounded_chain_count_fixed_cases(mu, lam, steps, expected):
     assert bounded_chain_count(mu, lam, steps) == expected
 
 
-@pytest.mark.parametrize(
-    "mu, core, steps, expected",
-    [
-        ((), (), 3, ((1, 0),)),  # s_(top)(1^3) = h(top)
-        ((), (1,), 2, ((2, 0), (-1, 1))),  # s_(top,1)(1^2) = 2 h(top) - h(top + 1) = top
-        ((1,), (1,), 2, ((2, -1),)),  # two disconnected rows: h(top - 1) h(1)
-        ((2, 1), (2, 1), 1, ((1, -2),)),
-        ((1, 1, 1), (1,), 2, ()),  # more parts than 1 + len(core)
-        ((2, 2), (1,), 2, ()),  # core does not contain mu's lower rows
-    ],
-)
-def test_first_row_cofactors_fixed_cases(mu, core, steps, expected):
-    assert first_row_cofactors(mu, core, steps) == expected
-
-
 def test_first_row_expansion_equals_the_determinant_and_the_chains():
-    # Three routes to s_{lam/mu}(1^steps) for lam = (top, *core): the memoized
-    # first-row expansion, the whole determinant, and strip chains summed over
-    # every composition.
+    # Three routes to s_{lam/mu}(1^steps) for lam = (top, *core): the padded
+    # series of M(S^mu), which sums the memoized first-row expansion, the
+    # whole determinant, and strip chains summed over every composition.
     for steps in (1, 2, 3):
         for core in [c for size in range(4) for c in partitions_of(size)]:
             least = core[0] if core else 0
             for mu in [p for size in range(5) for p in partitions_of(size)]:
-                pairs = first_row_cofactors(mu, core, steps)
+                spec = FreeModuleSpec.of_irreducible(steps, mu)
+                degrees = range(sum(core) + least, sum(core) + least + 5)
+                series = multiplicity_series(spec, core, degrees)
                 for top in range(least, least + 5):
                     lam = (top, *core) if top else core
-                    expansion = sum(
-                        c * math.comb(top + off + steps - 1, steps - 1)
-                        for c, off in pairs if top + off >= 0
-                    )
                     boxes = sum(lam) - sum(mu)
                     chains = sum(
                         chain_multiplicity(mu, a, lam) for a in compositions(boxes, steps)
                     ) if boxes >= 0 else 0
-                    assert expansion == bounded_chain_count(mu, lam, steps) == chains, (
-                        mu, lam, steps
-                    )
+                    determinant = bounded_chain_count(mu, lam, steps)
+                    assert series[sum(lam)] == determinant == chains, (mu, lam, steps)
 
 
 def _leibniz_determinant(rows):
@@ -417,7 +267,7 @@ def test_clear_caches_empties_every_memo_table():
     assert tables
     pieri_product((1,), (2, 1))
     bounded_chain_count((1,), (3, 1), 2)
-    first_row_cofactors((1,), (1,), 2)
+    multiplicity_series(FreeModuleSpec.regular(2, 1), (1,), [3])
     characters.decompose(characters.induce_trivial_product((1,), (1, 1)))
     assert [name for name, t in tables.items() if not t.cache_info().currsize] == []
     clear_caches()
